@@ -12,16 +12,18 @@
    Pass --table-only to skip the micro-benchmarks, --bench-only to skip
    the tables, or --runtime-only for just the runtime-scaling comparison,
    the traced stage breakdown and the serving runs (8 concurrent clients
-   against an in-process `tml serve` on a Unix socket, cold and warm, the
-   warm run with 1k/10k idle connections held open by a helper process;
-   no results file rewrite).
+   against a `tml serve` child on a Unix socket after a warm pass, then
+   with 1k/10k idle connections held open by a helper process; no
+   results file rewrite).
 
    --perf-check runs the runtime-scaling comparison plus the tracked
    bench set (the symbolic_kernel section, the e2/e4 elimination /
    constraint-eval benches, and the event loop's warm per-request time)
-   and exits non-zero if any tracked bench's fastest observed per-run
-   time regresses more than 20% against bench/results/baseline.json;
-   --update-baseline reruns the same set and rewrites the baseline. *)
+   and exits non-zero if any runtime-scaling row's reports differ from
+   the sequential loop, or if any tracked bench's fastest observed
+   per-run time regresses more than 20% against
+   bench/results/baseline.json; --update-baseline reruns the same set
+   and rewrites the baseline. *)
 
 open Bechamel
 open Toolkit
@@ -595,9 +597,12 @@ type kernel_bench = {
    hammers one shared-kernel layer: interned-monomial products (the
    sharded global cons cache), small-rational arithmetic, a whole
    min-degree elimination (every layer at once), and the compiled arena
-   evaluator (the NLP multistart inner loop).  Everything is built
-   eagerly here — the ops run in freshly spawned domains, and forcing a
-   shared lazy from several domains at once is not safe. *)
+   evaluator (the NLP inner loop).  Everything is built eagerly here —
+   the ops run in freshly spawned domains, and forcing a shared lazy from
+   several domains at once is not safe.  Each entry makes one op per
+   domain: the first three ops are stateless and shared, but a compiled
+   arena program owns its evaluation stacks, so every domain gets a
+   program of its own. *)
 let kernel_primitives () =
   let p84 = Poly.pow Poly.(var "x" + var "y" + var "z" + one) 6 in
   let p15 = Poly.pow Poly.(var "x" - (var "y" * var "z") + one) 4 in
@@ -605,55 +610,57 @@ let kernel_primitives () =
     let params = { wsn_params with Wsn.n = 2 } in
     Model_repair.parametric_model (Wsn.chain params) (Wsn.repair_spec params)
   in
-  let e4_violation, e4_x =
-    let q = Lazy.force data_query in
-    let vars = Ratfun.vars q.Pquery.value in
-    let x =
-      Array.of_list
-        (List.map (fun v -> if v = "fail_other" then 0.3 else 0.1) vars)
-    in
-    (Pquery.compile_violation q ~vars, x)
+  let e4_query = Lazy.force data_query in
+  let e4_vars = Ratfun.vars e4_query.Pquery.value in
+  let e4_x =
+    Array.of_list
+      (List.map (fun v -> if v = "fail_other" then 0.3 else 0.1) e4_vars)
   in
+  let shared op () = op in
   [ ( "mono mul (84x15-term product)",
-      fun () -> ignore (Poly.mul p84 p15 : Poly.t) );
+      shared (fun () -> ignore (Poly.mul p84 p15 : Poly.t)) );
     ( "ratio add (harmonic 100)",
-      fun () ->
-        let acc = ref Ratio.zero in
-        for k = 1 to 100 do
-          acc := Ratio.add !acc (Ratio.of_ints 1 k)
-        done;
-        ignore (!acc : Ratio.t) );
+      shared (fun () ->
+          let acc = ref Ratio.zero in
+          for k = 1 to 100 do
+            acc := Ratio.add !acc (Ratio.of_ints 1 k)
+          done;
+          ignore (!acc : Ratio.t)) );
     ( "eliminate (wsn n=2, min-degree)",
-      fun () ->
-        ignore
-          (Elimination.reachability_probability ~order:Elimination.Min_degree
-             n2_pm ~target:[ 0 ]
-            : Ratfun.t) );
+      shared (fun () ->
+          ignore
+            (Elimination.reachability_probability ~order:Elimination.Min_degree
+               n2_pm ~target:[ 0 ]
+              : Ratfun.t)) );
     ( "arena eval (e4 violation)",
-      fun () -> ignore (e4_violation e4_x : float) );
+      fun () ->
+        let violation = Pquery.compile_violation e4_query ~vars:e4_vars in
+        fun () -> ignore (violation e4_x : float) );
   ]
 
 let kernel_rung_targets = [ 1; 2; 4; 8 ]
 
 let kernel_scaling_ladder () =
   let cores = Domain.recommended_domain_count () in
-  (* d domains, each completing [iters] ops; the measurement is the wall
-     time from first spawn to last join *)
-  let time_batch d op iters =
-    let loop () =
+  (* d domains, each completing [iters] calls of its own op; the
+     measurement is the wall time from first spawn to last join *)
+  let time_batch d make_op iters =
+    let loop op () =
       for _ = 1 to iters do
         op ()
       done
     in
+    let ops = List.init d (fun _ -> make_op ()) in
     let t0 = Unix.gettimeofday () in
-    if d = 1 then loop ()
-    else begin
-      let doms = List.init d (fun _ -> Domain.spawn loop) in
-      List.iter Domain.join doms
-    end;
+    (match ops with
+     | [ op ] -> loop op ()
+     | _ ->
+       let doms = List.map (fun op -> Domain.spawn (loop op)) ops in
+       List.iter Domain.join doms);
     Unix.gettimeofday () -. t0
   in
-  let bench (name, op) =
+  let bench (name, make_op) =
+    let op = make_op () in
     op ();  (* warm the cons caches and any one-time setup *)
     let t1 =
       let t0 = Unix.gettimeofday () in
@@ -678,7 +685,7 @@ let kernel_scaling_ladder () =
                 read as a kernel regression *)
              let wall =
                List.fold_left Float.min Float.infinity
-                 (List.init 3 (fun _ -> time_batch d op iters))
+                 (List.init 3 (fun _ -> time_batch d make_op iters))
              in
              let ops_per_s = float_of_int (d * iters) /. wall in
              if d = 1 then base := ops_per_s;
@@ -762,8 +769,8 @@ let stage_breakdown () =
   rows
 
 (* ------------------------------------------------------------------ *)
-(* Server throughput: N concurrent clients against a live `tml serve`   *)
-(* instance (in-process, Unix socket) checking WSN reward bounds.       *)
+(* Serving helpers: N concurrent clients against a live `tml serve`     *)
+(* instance (Unix socket) checking WSN reward bounds.                   *)
 (* ------------------------------------------------------------------ *)
 
 type server_report = {
@@ -827,32 +834,6 @@ let batch_report ~clients ~total (failures, seconds, latencies) =
     p95_ms = pct 0.95;
     p99_ms = pct 0.99;
   }
-
-let server_throughput ?(clients = 8) ?(per_client = 25) () =
-  let total = clients * per_client in
-  let reqs = wsn_requests total in
-  Runtime.with_runtime ~workers:4 @@ fun rt ->
-  let router = Router.create rt in
-  let path =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "tml-bench-%d.sock" (Unix.getpid ()))
-  in
-  let server = Server.start ~handler:(Server.handler_of_router router) (`Unix path) in
-  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
-  let report =
-    batch_report ~clients ~total (client_batch ~clients ~per_client ~reqs path)
-  in
-  Format.printf
-    "@\n-- server throughput (%d clients x %d reqs, unix socket) --@\n"
-    clients per_client;
-  Format.printf "  %-20s %d requests in %.3f s  (%.1f req/s)@\n" "total"
-    report.srequests report.sseconds report.rps;
-  Format.printf "  %-20s p50 %.2f ms   p95 %.2f ms   p99 %.2f ms@\n" "latency"
-    report.p50_ms report.p95_ms report.p99_ms;
-  Format.printf "  %-20s %d@\n" "dropped responses" report.sfailures;
-  Format.print_flush ();
-  report
 
 (* ------------------------------------------------------------------ *)
 (* Event-loop serving core: warm throughput + held-connection ladder    *)
@@ -1120,9 +1101,8 @@ let stat_num field j =
 let stat_str field j =
   match Wire.member field j with Some (Wire.Str s) -> s | _ -> "unknown"
 
-(* The event-loop acceptance benchmark (ISSUE: `server_event_loop`):
-   steady-state request rate over the same 8-client WSN submit+wait
-   workload as [server_throughput] — after a warm pass so the measured
+(* The event-loop serving benchmark: steady-state request rate over an
+   8-client WSN submit+wait workload — after a warm pass so the measured
    window reflects the serving core rather than first-contact model
    parsing — plus a ladder of runs with 1k and 10k idle connections held
    open by a helper process while requests keep flowing. *)
@@ -1618,8 +1598,7 @@ let detect_json (d : detect_report) =
     d.d_iters d.d_cached_p50_us d.d_cached_p95_us d.d_reelim_p50_us
     d.d_scratch_p50_us d.d_speedup
 
-let write_results path rows runtime kernel breakdown server el fleet region
-    detect =
+let write_results path rows runtime kernel breakdown el fleet region detect =
   let b = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   add "{\n  \"schema\": \"tml-bench/1\",\n";
@@ -1703,16 +1682,6 @@ let write_results path rows runtime kernel breakdown server el fleet region
          (if i = List.length region - 1 then "" else ","))
     region;
   add "  ],\n";
-  add "  \"server_throughput\": {\n";
-  add "    \"clients\": %d,\n" server.sclients;
-  add "    \"requests\": %d,\n" server.srequests;
-  add "    \"dropped\": %d,\n" server.sfailures;
-  add "    \"seconds\": %.6f,\n" server.sseconds;
-  add "    \"requests_per_second\": %.2f,\n" server.rps;
-  add "    \"p50_ms\": %.3f,\n" server.p50_ms;
-  add "    \"p95_ms\": %.3f,\n" server.p95_ms;
-  add "    \"p99_ms\": %.3f\n" server.p99_ms;
-  add "  },\n";
   add "  \"server_event_loop\": {\n";
   add "    \"backend\": \"%s\",\n" (json_escape el.el_backend);
   add "    \"loops\": %d,\n" el.el_loops;
@@ -1857,12 +1826,11 @@ let run_benchmarks () =
   let kernel = kernel_scaling_ladder () in
   let region = region_lifting_report () in
   let breakdown = stage_breakdown () in
-  let server = server_throughput () in
   let el = server_event_loop () in
   let fleet = fleet_throughput () in
   write_results
     (Filename.concat !results_dir "latest.json")
-    rows runtime kernel breakdown server el fleet region detect
+    rows runtime kernel breakdown el fleet region detect
 
 (* ------------------------------------------------------------------ *)
 (* Perf gate: tracked benches vs a committed baseline                   *)
@@ -2017,7 +1985,9 @@ let perf_check ~update () =
       detect.d_speedup detection_speedup_floor;
   Format.print_flush ();
   prewarm ();
-  ignore (runtime_scaling ());
+  let mismatched =
+    List.filter (fun r -> not r.identical) (runtime_scaling ()).runs
+  in
   let rows = measure_groups (tracked_groups ()) in
   let rows = rows @ kernel_rows (kernel_scaling_ladder ()) in
   (* held-connection rungs are skipped under the gate: they measure
@@ -2025,7 +1995,7 @@ let perf_check ~update () =
   let rows = rows @ event_loop_rows (server_event_loop ~held_targets:[] ()) in
   if update then begin
     write_baseline rows;
-    if not detect_ok then exit 1
+    if not detect_ok || mismatched <> [] then exit 1
   end
   else if not (Sys.file_exists (baseline_path ())) then begin
     Format.printf
@@ -2036,13 +2006,19 @@ let perf_check ~update () =
   end
   else begin
     let base = parse_baseline (baseline_path ()) in
-    let checked = ref 1 and failed = ref (if detect_ok then 0 else 1) in
+    let checked = ref 1
+    and failed = ref ((if detect_ok then 0 else 1) + List.length mismatched) in
     Format.printf "@\n-- perf-check vs %s (fail at >%.0f%% regression) --@\n"
       (baseline_path ())
       ((regression_threshold -. 1.0) *. 100.0);
     Format.printf "  %-45s %12.1fx vs %10.0fx floor  %s@\n"
       "watch cached re-check speedup" detect.d_speedup detection_speedup_floor
       (if detect_ok then "ok" else "REGRESSED");
+    List.iter
+      (fun r ->
+         Format.printf "  %-45s reports differ from sequential  MISMATCH@\n"
+           r.rname)
+      mismatched;
     List.iter
       (fun (g, n, base_min) ->
          match
@@ -2110,7 +2086,6 @@ let () =
        server core (event loop first: it is the gated number, so it gets
        the quietest machine state) *)
     ignore (server_event_loop ());
-    ignore (server_throughput ());
     exit 0
   end;
   if runtime_only then begin
@@ -2122,7 +2097,6 @@ let () =
     let detect = latency_to_detection () in
     ignore (runtime_scaling ());
     ignore (stage_breakdown ());
-    ignore (server_throughput ());
     ignore (server_event_loop ());
     ignore (fleet_throughput ());
     write_history ~workload:"runtime"

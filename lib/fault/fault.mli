@@ -82,12 +82,6 @@ val at : site -> unit
 (** [with_site site (fun () -> ())] — probe-only form for sites with no
     meaningful body ([Cache] fills, [Worker] dequeues). *)
 
-val active : unit -> bool
-(** A plan is currently installed.  Parallel code paths whose fault
-    probes are occurrence-ordered (the NLP multistart) consult this to
-    fall back to their sequential schedule under chaos, keeping firing
-    decisions deterministic. *)
-
 val corrupt : site -> float -> float
 (** Identity, unless a [Nan] fault armed [site] on this domain, in which
     case the value is replaced by [Float.nan]. *)

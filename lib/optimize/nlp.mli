@@ -54,6 +54,10 @@ val solve :
   problem ->
   outcome
 (** Multistart (default 12 starts, seed 0, feasibility tolerance 1e-7).
+    The starts run one after another on the calling domain, never fanned
+    out: the objective and constraints are usually arena-compiled
+    programs that keep their evaluation scratch inside themselves, so
+    they must not be called from two domains at once.
     Among feasible local optima the best objective wins.  NaN objective or
     constraint values are guarded to [+inf], so an objective that is
     undefined on part of the box cannot poison candidate selection.
@@ -81,7 +85,9 @@ val solve_with_fallback :
   problem ->
   outcome * string
 (** Try each rung in order, returning the first feasible solution with
-    the label of the rung that produced it.  If no rung is feasible, the
+    the label of the rung that produced it.  A rung runs only if every
+    earlier rung was infeasible or failed transiently; each attempt
+    counts once in [tml_nlp_rungs_total] and records an [nlp:rung] span.  If no rung is feasible, the
     least-violating infeasible point across all rungs is returned (with
     its rung's label); transient non-convergence of individual rungs is
     tolerated as long as some rung converges, and re-raised otherwise. *)

@@ -1,8 +1,8 @@
 (** Intra-job parallelism hook.
 
-    Kernel libraries (elimination, the NLP multistart) fan independent
-    units of work out through {!run}; the runtime layer installs a runner
-    backed by its domain pool (like {!Elimination.set_memo} and
+    State elimination fans the independent eliminations of one batch out
+    through {!run}; it is the only caller.  The runtime layer installs a
+    runner backed by its domain pool (like {!Elimination.set_memo} and
     {!Fault.set_observer}), and with no runner installed every call
     degrades to running the tasks sequentially, in index order, on the
     calling domain.
@@ -12,6 +12,9 @@
     handed to {!run} are required by their callers to be pairwise
     independent (they touch disjoint state), so any execution order —
     including the sequential fallback — produces identical results.
+    Disjoint state includes state hidden in closures: an [Arena]-compiled
+    program keeps its evaluation stacks inside itself, so one compiled
+    program must never be called from two tasks.
     Exceptions are deterministic too: the exception raised by the {e
     lowest-indexed} failing task is re-raised after the whole batch has
     settled, regardless of the temporal order in which tasks failed. *)
@@ -25,18 +28,7 @@ val set_runner : runner option -> unit
     the runtime: installed by [Runtime.create], cleared by
     [Runtime.shutdown]. *)
 
-val enabled : unit -> bool
-(** A runner is currently installed. *)
-
 val run : (unit -> unit) array -> unit
 (** Execute the batch through the installed runner, or sequentially in
     index order when none is installed.  Either way: all tasks run, and
     the lowest-indexed failure is re-raised once the batch has settled. *)
-
-val map_array : ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map] over {!run}.  Results (and any re-raised
-    exception) are byte-identical to the sequential map: element order is
-    preserved and the lowest-indexed exception wins. *)
-
-val map_list : ('a -> 'b) -> 'a list -> 'b list
-(** {!map_array} over a list, preserving order. *)

@@ -27,11 +27,6 @@ let normalize_saved =
 (* until the single Ratfun.make per query at the very end.              *)
 (* ------------------------------------------------------------------ *)
 
-(* Read per solve, not at module init, so differential tests can flip the
-   switch with [Unix.putenv] mid-process. *)
-let use_factored () =
-  match Sys.getenv_opt "TML_ELIM_FACTORED" with Some "0" -> false | _ -> true
-
 module Pmap = Map.Make (Poly)
 
 type fr = { c : P.t; nf : int Pmap.t; df : int Pmap.t }
@@ -224,8 +219,8 @@ let backward_reachable rows from =
 (* in [active], all other E-values being 0.  Returns E(init).           *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-edge normalized arithmetic — the reference implementation kept as an
-   ablation/debugging path (TML_ELIM_FACTORED=0). *)
+(* Per-edge normalized arithmetic: the semantic reference the factored
+   engine is tested against ([Reference.Per_edge]). *)
 let solve_ratfun ~order ~rows ~rew ~active ~init =
   let n = Array.length rows in
   (* Local mutable copies restricted to active states. *)
@@ -317,140 +312,6 @@ let solve_ratfun ~order ~rows ~rew ~active ~init =
   if Ratfun.is_zero one_minus then Ratfun.zero
   else Ratfun.mul (Ratfun.inv one_minus) r.(init)
 
-(* Factored-form elimination: identical control flow, but every stored
-   value is an [fr] and nothing is normalized until the single
-   [fr_to_ratfun] at the end of the query. *)
-let solve_factored ~order ~rows ~rew ~active ~init =
-  let n = Array.length rows in
-  let p = Array.make n Imap.empty in
-  Array.iteri
-    (fun s row ->
-       if active.(s) then
-         p.(s) <-
-           Imap.filter_map
-             (fun d f -> if active.(d) then Some (fr_of_ratfun f) else None)
-             row)
-    rows;
-  let r = Array.map fr_of_ratfun rew in
-  let preds = Array.make n Iset.empty in
-  Array.iteri
-    (fun s row -> Imap.iter (fun d _ -> preds.(d) <- Iset.add s preds.(d)) row)
-    p;
-  let alive = Array.copy active in
-  let to_eliminate =
-    List.filter (fun s -> alive.(s) && s <> init) (List.init n Fun.id)
-  in
-  let degree s = Iset.cardinal preds.(s) * Imap.cardinal p.(s) in
-  (* Symbolic size of a state's outgoing row — the Min_degree tie-break.
-     Among states with equally many fill-in edges, eliminating the one whose
-     rational functions are smallest keeps intermediate quotients from
-     blowing up.  Computed lazily, only on actual degree ties. *)
-  let fr_size t =
-    Pmap.fold
-      (fun f e acc -> acc + (e * P.num_terms f))
-      t.df (P.num_terms t.c)
-  in
-  let sym_size s = Imap.fold (fun _ f acc -> acc + fr_size f) p.(s) 0 in
-  let pick remaining =
-    match order with
-    | Ascending -> List.hd remaining
-    | Descending -> List.hd (List.rev remaining)
-    | Min_degree ->
-      let best = ref (List.hd remaining) in
-      let best_deg = ref (degree !best) in
-      let best_size = ref (-1) in
-      List.iter
-        (fun s ->
-           let d = degree s in
-           if d < !best_deg then begin
-             best := s;
-             best_deg := d;
-             best_size := -1
-           end
-           else if d = !best_deg && s <> !best then begin
-             if !best_size < 0 then best_size := sym_size !best;
-             let sz = sym_size s in
-             if sz < !best_size then begin
-               best := s;
-               best_size := sz
-             end
-           end)
-        (List.tl remaining);
-      !best
-  in
-  let saved = ref 0 in
-  let eliminate s =
-    let self = Option.value ~default:fr_zero (Imap.find_opt s p.(s)) in
-    let one_minus = fr_add fr_one (fr_neg self) in
-    if fr_is_zero one_minus then begin
-      (* p(s,s) ≡ 1: a trap; cut s out (see solve_ratfun) *)
-      Iset.iter
-        (fun u -> if u <> s then p.(u) <- Imap.remove s p.(u))
-        preds.(s);
-      Imap.iter (fun d _ -> preds.(d) <- Iset.remove s preds.(d)) p.(s);
-      p.(s) <- Imap.empty;
-      alive.(s) <- false
-    end
-    else begin
-      let factor = fr_inv one_minus in
-      let out = Imap.remove s p.(s) in
-      let r_s = fr_mul factor r.(s) in
-      let r_s_zero = fr_is_zero r_s in
-      let scaled_out = Imap.map (fun f -> fr_mul factor f) out in
-      (* vs the per-edge path: one normalize per scaled out-edge, plus the
-         explicit inverse and the r_s product *)
-      saved := !saved + Imap.cardinal out + 2;
-      Iset.iter
-        (fun u ->
-           if u <> s then begin
-             match Imap.find_opt s p.(u) with
-             | None -> ()
-             | Some p_us ->
-               if not r_s_zero then begin
-                 r.(u) <- fr_add r.(u) (fr_mul p_us r_s);
-                 saved := !saved + 2
-               end;
-               Imap.iter
-                 (fun v sf ->
-                    let contrib = fr_mul p_us sf in
-                    p.(u) <-
-                      Imap.update v
-                        (function
-                          | None ->
-                            saved := !saved + 1;
-                            if fr_is_zero contrib then None else Some contrib
-                          | Some g ->
-                            saved := !saved + 2;
-                            let sum = fr_add g contrib in
-                            if fr_is_zero sum then None else Some sum)
-                        p.(u);
-                    preds.(v) <- Iset.add u preds.(v))
-                 scaled_out;
-               p.(u) <- Imap.remove s p.(u)
-           end)
-        preds.(s);
-      Imap.iter (fun d _ -> preds.(d) <- Iset.remove s preds.(d)) p.(s);
-      preds.(s) <- Iset.empty;
-      p.(s) <- Imap.empty;
-      alive.(s) <- false
-    end
-  in
-  let rec loop remaining =
-    match remaining with
-    | [] -> ()
-    | _ ->
-      let s = pick remaining in
-      eliminate s;
-      loop (List.filter (fun x -> x <> s) remaining)
-  in
-  loop to_eliminate;
-  if !saved > 0 then Metrics.incr ~by:!saved normalize_saved;
-  (* E(init) = r(init) / (1 - p(init,init)) *)
-  let self = Option.value ~default:fr_zero (Imap.find_opt init p.(init)) in
-  let one_minus = fr_add fr_one (fr_neg self) in
-  if fr_is_zero one_minus then Ratfun.zero
-  else fr_to_ratfun (fr_mul (fr_inv one_minus) r.(init))
-
 (* ------------------------------------------------------------------ *)
 (* Batched parallel elimination.                                        *)
 (*                                                                      *)
@@ -481,12 +342,12 @@ let solve_factored ~order ~rows ~rew ~active ~init =
 (* a row we cannot know) — closes the batch instead of guessing.        *)
 (* ------------------------------------------------------------------ *)
 
-(* Read per solve, like TML_ELIM_FACTORED, so differential tests can
-   flip the escape hatch with [Unix.putenv] mid-process. *)
-let use_parallel () =
-  match Sys.getenv_opt "TML_ELIM_PARALLEL" with Some "0" -> false | _ -> true
-
-let solve_factored_parallel ~order ~rows ~rew ~active ~init =
+(* Factored-form elimination: [solve_ratfun]'s control flow, but every
+   stored value is an [fr] and nothing is normalized until the single
+   [fr_to_ratfun] at the end of the query.  With [~batched:false] every
+   batch is cut to its first pick: the one-at-a-time schedule the batches
+   must reproduce byte for byte. *)
+let solve_factored ~batched ~order ~rows ~rew ~active ~init =
   let n = Array.length rows in
   let p = Array.make n Imap.empty in
   Array.iteri
@@ -507,46 +368,53 @@ let solve_factored_parallel ~order ~rows ~rew ~active ~init =
     List.filter (fun s -> alive.(s) && s <> init) (List.init n Fun.id)
   in
   let degree s = Iset.cardinal preds.(s) * Imap.cardinal p.(s) in
+  (* Symbolic size of a state's outgoing row — the Min_degree tie-break.
+     Among states with equally many fill-in edges, eliminating the one whose
+     rational functions are smallest keeps intermediate quotients from
+     blowing up.  Computed lazily, only on actual degree ties. *)
   let fr_size t =
     Pmap.fold
       (fun f e acc -> acc + (e * P.num_terms f))
       t.df (P.num_terms t.c)
   in
   let sym_size s = Imap.fold (fun _ f acc -> acc + fr_size f) p.(s) 0 in
-  (* identical to [solve_factored]'s pick — the first member of every
-     batch is the true dynamic pick *)
+  (* The Min_degree argmin over a non-empty list of distinct states, and
+     its degree: fewest fill-in edges, then smallest [sym_size], then
+     earliest in the list. *)
+  let min_degree states =
+    let best = ref (List.hd states) in
+    let best_deg = ref (degree !best) in
+    let best_size = ref (-1) in
+    List.iter
+      (fun s ->
+         let d = degree s in
+         if d < !best_deg then begin
+           best := s;
+           best_deg := d;
+           best_size := -1
+         end
+         else if d = !best_deg then begin
+           if !best_size < 0 then best_size := sym_size !best;
+           let sz = sym_size s in
+           if sz < !best_size then begin
+             best := s;
+             best_size := sz
+           end
+         end)
+      (List.tl states);
+    (!best, !best_deg)
+  in
+  (* the dynamic sequential pick — the first member of every batch *)
   let pick remaining =
     match order with
     | Ascending -> List.hd remaining
     | Descending -> List.hd (List.rev remaining)
-    | Min_degree ->
-      let best = ref (List.hd remaining) in
-      let best_deg = ref (degree !best) in
-      let best_size = ref (-1) in
-      List.iter
-        (fun s ->
-           let d = degree s in
-           if d < !best_deg then begin
-             best := s;
-             best_deg := d;
-             best_size := -1
-           end
-           else if d = !best_deg && s <> !best then begin
-             if !best_size < 0 then best_size := sym_size !best;
-             let sz = sym_size s in
-             if sz < !best_size then begin
-               best := s;
-               best_size := sz
-             end
-           end)
-        (List.tl remaining);
-      !best
+    | Min_degree -> fst (min_degree remaining)
   in
   let saved_total = Atomic.make 0 in
-  (* [solve_factored]'s eliminate with the normalize-saved tally as a
-     parameter: each parallel task owns a private counter (summed into
-     [saved_total] at task end), so concurrent eliminations never share
-     a mutable cell *)
+  (* The normalize-saved tally is a parameter: each parallel task owns a
+     private counter (summed into [saved_total] at task end), so concurrent
+     eliminations never share a mutable cell. *)
   let eliminate ~saved s =
     let self = Option.value ~default:fr_zero (Imap.find_opt s p.(s)) in
     let one_minus = fr_add fr_one (fr_neg self) in
@@ -565,6 +433,8 @@ let solve_factored_parallel ~order ~rows ~rew ~active ~init =
       let r_s = fr_mul factor r.(s) in
       let r_s_zero = fr_is_zero r_s in
       let scaled_out = Imap.map (fun f -> fr_mul factor f) out in
+      (* vs the per-edge path: one normalize per scaled out-edge, plus the
+         explicit inverse and the r_s product *)
       saved := !saved + Imap.cardinal out + 2;
       Iset.iter
         (fun u ->
@@ -635,7 +505,7 @@ let solve_factored_parallel ~order ~rows ~rew ~active ~init =
       kill_src := Iset.add c (Iset.union !kill_src preds.(c));
       kill_dst := Iset.add c (Iset.union !kill_dst (succs c))
     in
-    let stop = ref false in
+    let stop = ref (not batched) in
     while not !stop do
       let rest = List.filter (fun s -> not (Iset.mem s !bset)) remaining in
       let candidate =
@@ -648,36 +518,17 @@ let solve_factored_parallel ~order ~rows ~rew ~active ~init =
         | Min_degree -> (
             match List.filter (fun s -> not (Iset.mem s !touched)) rest with
             | [] -> None  (* no state with a provably exact degree left *)
-            | u0 :: us ->
+            | untouched ->
               (* frozen argmin over untouched survivors — their rows and
                  pred-sets are exactly the post-batch ones *)
-              let best = ref u0 in
-              let best_deg = ref (degree u0) in
-              let best_size = ref (-1) in
-              List.iter
-                (fun s ->
-                   let d = degree s in
-                   if d < !best_deg then begin
-                     best := s;
-                     best_deg := d;
-                     best_size := -1
-                   end
-                   else if d = !best_deg then begin
-                     if !best_size < 0 then best_size := sym_size !best;
-                     let sz = sym_size s in
-                     if sz < !best_size then begin
-                       best := s;
-                       best_size := sz
-                     end
-                   end)
-                us;
+              let best, best_deg = min_degree untouched in
               (* sound only if no touched survivor could beat OR tie it *)
               let doubtful =
                 List.exists
-                  (fun s -> Iset.mem s !touched && min_deg s <= !best_deg)
+                  (fun s -> Iset.mem s !touched && min_deg s <= best_deg)
                   rest
               in
-              if doubtful then None else Some !best)
+              if doubtful then None else Some best)
       in
       match candidate with
       | Some c when Iset.disjoint (nbhd c) !touched -> add c
@@ -719,10 +570,13 @@ let solve_factored_parallel ~order ~rows ~rew ~active ~init =
   if fr_is_zero one_minus then Ratfun.zero
   else fr_to_ratfun (fr_mul (fr_inv one_minus) r.(init))
 
-let solve ~order ~rows ~rew ~active ~init =
-  if not (use_factored ()) then solve_ratfun ~order ~rows ~rew ~active ~init
-  else if use_parallel () then solve_factored_parallel ~order ~rows ~rew ~active ~init
-  else solve_factored ~order ~rows ~rew ~active ~init
+type engine = Batched | Sequential | Per_edge
+
+let solve engine ~order ~rows ~rew ~active ~init =
+  match engine with
+  | Batched -> solve_factored ~batched:true ~order ~rows ~rew ~active ~init
+  | Sequential -> solve_factored ~batched:false ~order ~rows ~rew ~active ~init
+  | Per_edge -> solve_ratfun ~order ~rows ~rew ~active ~init
 
 (* ------------------------------------------------------------------ *)
 
@@ -740,10 +594,8 @@ let check_target n target =
     target;
   if target = [] then invalid_arg "Elimination: empty target set"
 
-let reachability_probability ?(order = Min_degree) pdtmc ~target =
+let reach_query engine ~order pdtmc ~target () =
   let n = Pdtmc.num_states pdtmc in
-  check_target n target;
-  memoized ~kind:"prob" ~order pdtmc ~target @@ fun () ->
   let init = Pdtmc.init_state pdtmc in
   let tset = Iset.of_list target in
   if Iset.mem init tset then Ratfun.one
@@ -768,14 +620,12 @@ let reachability_probability ?(order = Min_degree) pdtmc ~target =
                    if Iset.mem d tset then Ratfun.add acc f else acc)
                 rows.(s) Ratfun.zero)
       in
-      solve ~order ~rows ~rew ~active ~init
+      solve engine ~order ~rows ~rew ~active ~init
     end
   end
 
-let expected_reward ?(order = Min_degree) pdtmc ~target =
+let reward_query engine ~order pdtmc ~target () =
   let n = Pdtmc.num_states pdtmc in
-  check_target n target;
-  memoized ~kind:"rew" ~order pdtmc ~target @@ fun () ->
   let init = Pdtmc.init_state pdtmc in
   let tset = Iset.of_list target in
   if Iset.mem init tset then Ratfun.zero
@@ -795,8 +645,30 @@ let expected_reward ?(order = Min_degree) pdtmc ~target =
       Array.init n (fun s ->
           if active.(s) then Pdtmc.reward pdtmc s else Ratfun.zero)
     in
-    solve ~order ~rows ~rew ~active ~init
+    solve engine ~order ~rows ~rew ~active ~init
   end
+
+let reachability_probability ?(order = Min_degree) pdtmc ~target =
+  check_target (Pdtmc.num_states pdtmc) target;
+  memoized ~kind:"prob" ~order pdtmc ~target
+    (reach_query Batched ~order pdtmc ~target)
+
+let expected_reward ?(order = Min_degree) pdtmc ~target =
+  check_target (Pdtmc.num_states pdtmc) target;
+  memoized ~kind:"rew" ~order pdtmc ~target
+    (reward_query Batched ~order pdtmc ~target)
+
+module Reference = struct
+  type nonrec engine = engine = Batched | Sequential | Per_edge
+
+  let reachability_probability engine ?(order = Min_degree) pdtmc ~target =
+    check_target (Pdtmc.num_states pdtmc) target;
+    reach_query engine ~order pdtmc ~target ()
+
+  let expected_reward engine ?(order = Min_degree) pdtmc ~target =
+    check_target (Pdtmc.num_states pdtmc) target;
+    reward_query engine ~order pdtmc ~target ()
+end
 
 let eliminated_states pdtmc ~target =
   let n = Pdtmc.num_states pdtmc in

@@ -45,6 +45,29 @@ val expected_reward : ?order:order -> Pdtmc.t -> target:int list -> Ratfun.t
     (PRISM's [R \[F target\]]); target-state rewards are not counted.
     @raise Not_almost_sure when the target is not reached almost surely. *)
 
+(** The slower schedules the production queries are tested against.
+    Neither consults the memo installed by {!set_memo}. *)
+module Reference : sig
+  type engine =
+    | Batched
+        (** what {!reachability_probability} and {!expected_reward} run:
+            factored elimination in batches of independent states, each
+            batch fanned out through [Parallel.run] *)
+    | Sequential
+        (** the same code with every batch cut to its first pick: the
+            one-at-a-time schedule [Batched] must reproduce byte for byte *)
+    | Per_edge
+        (** per-edge normalized [Ratfun] arithmetic with no factored
+            forms; agrees with [Batched] up to {!Ratfun.equal}, not in
+            representation *)
+
+  val reachability_probability :
+    engine -> ?order:order -> Pdtmc.t -> target:int list -> Ratfun.t
+
+  val expected_reward :
+    engine -> ?order:order -> Pdtmc.t -> target:int list -> Ratfun.t
+end
+
 val eliminated_states : Pdtmc.t -> target:int list -> int
 (** Number of states the probability query actually eliminates — exposed
     for the elimination-order ablation benchmark. *)

@@ -1,8 +1,10 @@
-(* Differential tests for the multicore symbolic kernel: the parallel
-   elimination and the parallel NLP multistart must be byte-identical to
-   their sequential reference paths (on the WSN grids n=2..4 and the
-   lane-change chain), an injected worker crash mid-batch must be
-   retried — not wedge the batch — and nested subtask submission must
+(* Differential tests for the multicore symbolic kernel: the batched
+   parallel elimination must be byte-identical to its one-at-a-time
+   reference schedule (on the WSN grids n=2..4 and the lane-change
+   chain), NLP solves must not change when a pool runner is installed, a
+   batch of model repairs on a multi-worker runtime must reproduce
+   [Job.run] report for report, an injected worker crash mid-batch must
+   be retried — not wedge the batch — and nested subtask submission must
    complete on a 1-worker pool. *)
 
 (* ------------------------------ harness ------------------------------- *)
@@ -18,13 +20,6 @@ let with_pool ~workers f =
       Parallel.set_runner None;
       Pool.shutdown pool)
     (fun () -> f pool)
-
-(* [Unix.putenv] cannot unset, but the kernel switches only distinguish
-   "0" / not-"0", so restoring to "" restores default behaviour. *)
-let with_env var value f =
-  let old = Option.value ~default:"" (Sys.getenv_opt var) in
-  Unix.putenv var value;
-  Fun.protect ~finally:(fun () -> Unix.putenv var old) f
 
 (* ------------------------------ fixtures ------------------------------ *)
 
@@ -63,23 +58,19 @@ let orders =
 (* ----------------------- elimination differential --------------------- *)
 
 (* Three paths through the same query:
-   - TML_ELIM_PARALLEL=0        → the original sequential [solve_factored]
-   - parallel, no runner        → batched schedule, sequential fallback
-   - parallel, pool runner      → batched schedule across pool domains
+   - [Sequential]               → every batch cut to its first pick
+   - [Batched], no runner       → batched schedule, sequential fallback
+   - [Batched], pool runner     → batched schedule across pool domains
    All three must render to the same string: byte-identical, not just
    numerically close. *)
 let check_elim_identical name query =
   List.iter
     (fun (oname, order) ->
-       let reference =
-         with_env "TML_ELIM_PARALLEL" "0" (fun () -> query order)
-       in
-       let batched_seq =
-         with_env "TML_ELIM_PARALLEL" "1" (fun () -> query order)
-       in
+       let reference = query Elimination.Reference.Sequential order in
+       let batched_seq = query Elimination.Reference.Batched order in
        let batched_par =
-         with_env "TML_ELIM_PARALLEL" "1" (fun () ->
-             with_pool ~workers:2 (fun _pool -> query order))
+         with_pool ~workers:2 (fun _pool ->
+             query Elimination.Reference.Batched order)
        in
        Alcotest.(check string)
          (Printf.sprintf "%s/%s batched=sequential" name oname)
@@ -97,21 +88,22 @@ let test_elim_wsn_reachability () =
        let pm = wsn_pm n in
        check_elim_identical
          (Printf.sprintf "wsn n=%d reach" n)
-         (fun order ->
-            Elimination.reachability_probability ~order pm ~target:[ 0 ]))
+         (fun engine order ->
+            Elimination.Reference.reachability_probability engine ~order pm
+              ~target:[ 0 ]))
     [ 2; 3 ]
 
 (* n=4 is ~300 ms per elimination, so one order covers it without
    dominating the suite's runtime *)
 let test_elim_wsn_n4 () =
   let pm = wsn_pm 4 in
-  let query order =
-    Elimination.reachability_probability ~order pm ~target:[ 0 ]
+  let query engine =
+    Elimination.Reference.reachability_probability engine
+      ~order:Elimination.Min_degree pm ~target:[ 0 ]
   in
-  let reference = with_env "TML_ELIM_PARALLEL" "0" (fun () -> query Elimination.Min_degree) in
+  let reference = query Elimination.Reference.Sequential in
   let pooled =
-    with_env "TML_ELIM_PARALLEL" "1" (fun () ->
-        with_pool ~workers:2 (fun _ -> query Elimination.Min_degree))
+    with_pool ~workers:2 (fun _ -> query Elimination.Reference.Batched)
   in
   Alcotest.(check string) "wsn n=4 pooled=sequential"
     (Ratfun.to_string reference) (Ratfun.to_string pooled)
@@ -122,13 +114,16 @@ let test_elim_wsn_reward () =
        let pm = wsn_pm n in
        check_elim_identical
          (Printf.sprintf "wsn n=%d reward" n)
-         (fun order -> Elimination.expected_reward ~order pm ~target:[ 0 ]))
+         (fun engine order ->
+            Elimination.Reference.expected_reward engine ~order pm
+              ~target:[ 0 ]))
     [ 2; 3 ]
 
 let test_elim_lane_change () =
   let pm = car_pm () in
-  check_elim_identical "lane-change reach" (fun order ->
-      Elimination.reachability_probability ~order pm ~target:[ 3; 4 ])
+  check_elim_identical "lane-change reach" (fun engine order ->
+      Elimination.Reference.reachability_probability engine ~order pm
+        ~target:[ 3; 4 ])
 
 (* --------------------------- NLP differential ------------------------- *)
 
@@ -170,6 +165,50 @@ let test_fallback_identical () =
          (Printf.sprintf "fallback %s pooled=sequential" name)
          reference pooled)
     [ ("feasible", feasible_problem ()); ("infeasible", infeasible_problem ()) ]
+
+(* ------------------------- batch determinism -------------------------- *)
+
+(* The bench's 8-job WSN model-repair batch (E[attempts] bounds 35..42,
+   all violated, so every job runs elimination + NLP) on fresh runtimes
+   with real worker domains.  The report cache is off, so every repeat
+   recomputes every job; the elimination cache stays on, as in serving.
+   Every rendered report must equal the [Job.run] reference. *)
+let stress_jobs () =
+  let params = Wsn.default_params in
+  let chain = Wsn.chain params in
+  let spec = Wsn.repair_spec params in
+  List.map
+    (fun b ->
+       Job.Model_repair
+         { model = chain; phi = Wsn.property b; spec; starts = 4;
+           backend = Repair_backend.Nlp_solver })
+    [ 35; 36; 37; 38; 39; 40; 41; 42 ]
+
+let test_batch_determinism_stress () =
+  let jobs = stress_jobs () in
+  let render o = Format.asprintf "%a" Job.pp_outcome o in
+  let reference = List.map (fun j -> render (Job.run j)) jobs in
+  let mismatches = ref [] in
+  List.iter
+    (fun workers ->
+       for rep = 1 to 10 do
+         Runtime.with_runtime ~workers ~report_cache_capacity:0 (fun rt ->
+             List.iteri
+               (fun i (r, got) ->
+                  let got =
+                    match got with
+                    | Future.Value o -> render o
+                    | _ -> "<not a value>"
+                  in
+                  if got <> r then
+                    mismatches :=
+                      Printf.sprintf "workers=%d rep=%d job=%d" workers rep i
+                      :: !mismatches)
+               (List.combine reference (Runtime.run_batch rt jobs)))
+       done)
+    [ 2; 4 ];
+  Alcotest.(check (list string)) "reports identical to Job.run" []
+    (List.rev !mismatches)
 
 (* ------------------------------- chaos -------------------------------- *)
 
@@ -226,14 +265,17 @@ let test_subtask_crash_retried () =
    caller-drain design means the worker drains its own submissions, so
    this must complete rather than deadlock. *)
 let test_nested_submit_one_worker () =
+  let fan_out n f =
+    let out = Array.make n 0 in
+    Parallel.run (Array.init n (fun i () -> out.(i) <- f i));
+    out
+  in
   with_pool ~workers:1 (fun pool ->
       let fut =
         Pool.submit pool (fun () ->
-            Parallel.map_array
-              (fun i ->
-                 Array.fold_left ( + ) 0
-                   (Parallel.map_array (fun j -> (10 * i) + j) [| 0; 1; 2 |]))
-              [| 1; 2; 3; 4 |])
+            fan_out 4 (fun i ->
+                Array.fold_left ( + ) 0
+                  (fan_out 3 (fun j -> (10 * (i + 1)) + j))))
       in
       match Future.await ~timeout_s:30.0 fut with
       | Future.Value v ->
@@ -268,6 +310,10 @@ let () =
       ( "nlp differential",
         [ Alcotest.test_case "multistart" `Quick test_multistart_identical;
           Alcotest.test_case "fallback ladder" `Quick test_fallback_identical;
+        ] );
+      ( "batch determinism",
+        [ Alcotest.test_case "wsn batch, 2 and 4 workers" `Quick
+            test_batch_determinism_stress;
         ] );
       ( "chaos",
         [ Alcotest.test_case "subtask crash retried" `Quick

@@ -395,18 +395,15 @@ let test_factored_vs_reference () =
   (* the factored engine and the per-edge reference path must agree
      semantically (their normalized quotients may differ in size — only
      cross-multiplication equality is canonical) *)
-  let with_reference f =
-    Unix.putenv "TML_ELIM_FACTORED" "0";
-    Fun.protect ~finally:(fun () -> Unix.putenv "TML_ELIM_FACTORED" "1") f
-  in
+  let per_edge = Elimination.Reference.Per_edge in
   let pm = Lazy.force wsn_parametric in
   let factored = Elimination.expected_reward pm ~target:[ 0 ] in
-  let reference = with_reference (fun () -> Elimination.expected_reward pm ~target:[ 0 ]) in
+  let reference = Elimination.Reference.expected_reward per_edge pm ~target:[ 0 ] in
   Alcotest.(check bool) "expected reward agrees" true
     (Ratfun.equal factored reference);
   let p_factored = Elimination.reachability_probability pm ~target:[ 0 ] in
   let p_reference =
-    with_reference (fun () -> Elimination.reachability_probability pm ~target:[ 0 ])
+    Elimination.Reference.reachability_probability per_edge pm ~target:[ 0 ]
   in
   Alcotest.(check bool) "reachability agrees" true
     (Ratfun.equal p_factored p_reference)
