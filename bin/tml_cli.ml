@@ -320,7 +320,7 @@ let q_constraints_arg =
   Arg.(non_empty & opt_all string [] & info [ "c"; "constraint" ] ~docv:"QC" ~doc)
 
 let gamma_arg =
-  Arg.(value & opt float 0.9 & info [ "gamma" ] ~docv:"G" ~doc:"Discount factor.")
+  Arg.(value & opt float 0.9 & info [ "gamma" ] ~docv:"G" ~doc:"Discount factor, in (0, 1).")
 
 let run_reward_repair mdp_file theta constraints gamma =
   exit_of_result

@@ -104,13 +104,165 @@ let validate_constraints m constraints =
               c.worse))
     constraints
 
-let q_gap ~gamma m theta c =
-  let m' = Irl.apply_reward m theta in
-  let q = Value.q_values ~gamma m' in
+(* The verification path: one value iteration per θ; the optimal policy
+   and every constraint's gap are read off the same Q-table. *)
+let q_table ~gamma m theta = Value.q_values ~gamma (Irl.apply_reward m theta)
+
+let gap_of q c =
   List.assoc c.better q.(c.state) -. List.assoc c.worse q.(c.state)
+
+(* ------------------------------------------------------------------ *)
+(* Exact Q-gap evaluation for the NLP search                            *)
+(* ------------------------------------------------------------------ *)
+
+(* With the reward r = Φθ, a fixed deterministic policy π has values
+   linear in θ: V_π(θ) = (I − γP_π)⁻¹(Φθ + r_π) = A_π θ + b_π, where r_π
+   holds the chosen actions' rewards.  Q* at a point comes from policy
+   iteration over these forms: evaluate the current policy's form, switch
+   every state that has a strictly better action, repeat.  A form costs
+   one LU factorisation with k+1 right-hand sides and is kept in a table
+   keyed by the policy, so a search that wanders across a handful of
+   policies solves a handful of systems and otherwise does only
+   matrix-vector work.  With γ < 1, I − γP_π is strictly diagonally
+   dominant, hence nonsingular. *)
+
+type flat_action = { reward : float; targets : int array; probs : float array }
+
+type gap_evaluator = {
+  gamma : float;
+  features : float array array;  (** Φ, n × k *)
+  acts : flat_action array array;  (** per state, in [Mdp.actions_of] order *)
+  names : string array array;
+  forms : (int array, float array array * float array) Hashtbl.t;
+      (** π ↦ (the k columns of A_π, b_π); keys are never mutated *)
+  mutable policy : int array;  (** the last optimal policy: the warm start *)
+}
+
+let check_discount gamma =
+  if not (gamma > 0.0 && gamma < 1.0) then
+    invalid_arg (Printf.sprintf "Reward_repair: gamma %g outside (0, 1)" gamma)
+
+let gap_evaluator ~gamma m =
+  check_discount gamma;
+  let n = Mdp.num_states m in
+  let actions = Array.init n (fun s -> Array.of_list (Mdp.actions_of m s)) in
+  let flat (a : Mdp.action) =
+    {
+      reward = a.Mdp.reward;
+      targets = Array.of_list (List.map fst a.Mdp.dist);
+      probs = Array.of_list (List.map snd a.Mdp.dist);
+    }
+  in
+  {
+    gamma;
+    features = Array.init n (Mdp.features_of m);
+    acts = Array.map (Array.map flat) actions;
+    names = Array.map (Array.map (fun (a : Mdp.action) -> a.Mdp.name)) actions;
+    forms = Hashtbl.create 16;
+    policy = Array.make n 0;
+  }
+
+(* A_π and b_π: solve (I − γP_π) X = [Φ | r_π] in one factorisation. *)
+let solve_form ev pi =
+  let n = Array.length ev.acts and k = Array.length ev.features.(0) in
+  let lhs = Linalg.Mat.identity n in
+  Array.iteri
+    (fun s a ->
+       let { targets; probs; _ } = ev.acts.(s).(a) in
+       Array.iteri
+         (fun i t ->
+            Linalg.Mat.set lhs s t
+              (Linalg.Mat.get lhs s t -. (ev.gamma *. probs.(i))))
+         targets)
+    pi;
+  let rhs =
+    List.init k (fun j -> Array.init n (fun s -> ev.features.(s).(j)))
+    @ [ Array.init n (fun s -> ev.acts.(s).(pi.(s)).reward) ]
+  in
+  let cols = Array.of_list (Linalg.lu_solve_many lhs rhs) in
+  (Array.sub cols 0 k, cols.(k))
+
+let form ev pi =
+  match Hashtbl.find_opt ev.forms pi with
+  | Some f -> f
+  | None ->
+    let f = solve_form ev pi in
+    Hashtbl.add ev.forms pi f;
+    f
+
+let q_at ev r v s a =
+  let { reward; targets; probs } = ev.acts.(s).(a) in
+  let future = ref 0.0 in
+  Array.iteri (fun i t -> future := !future +. (probs.(i) *. v.(t))) targets;
+  r.(s) +. reward +. (ev.gamma *. !future)
+
+(* Policy iteration from the warm start; returns the reward vector and
+   V* at θ.  A state switches only on a strict (1e-12 relative)
+   improvement, so every switch raises V_π and the loop terminates. *)
+let optimal_values ev theta =
+  (* Φθ as [Irl.reward_vector] computes it, without its per-call copies
+     of every feature vector *)
+  let r =
+    Array.map
+      (fun f ->
+         let acc = ref 0.0 in
+         Array.iteri (fun j fj -> acc := !acc +. (theta.(j) *. fj)) f;
+         !acc)
+      ev.features
+  in
+  let rec settle pi =
+    let a_cols, b = form ev pi in
+    let v =
+      Array.mapi
+        (fun s bs ->
+           let acc = ref bs in
+           Array.iteri
+             (fun j col -> acc := !acc +. (theta.(j) *. col.(s)))
+             a_cols;
+           !acc)
+        b
+    in
+    let next =
+      Array.mapi
+        (fun s cur ->
+           let best = ref cur and best_q = ref (q_at ev r v s cur) in
+           for a = 0 to Array.length ev.acts.(s) - 1 do
+             let q = q_at ev r v s a in
+             if q > !best_q +. (1e-12 *. (1.0 +. Float.abs !best_q)) then begin
+               best := a;
+               best_q := q
+             end
+           done;
+           !best)
+        pi
+    in
+    if next = pi then begin
+      ev.policy <- pi;
+      (r, v)
+    end
+    else settle next
+  in
+  settle ev.policy
+
+let action_index ev s name =
+  match Array.find_index (String.equal name) ev.names.(s) with
+  | Some i -> i
+  | None ->
+    invalid_arg (Printf.sprintf "Reward_repair: state %d has no action %S" s name)
+
+(* A constraint compiled to action indices: the NLP's hot closure. *)
+let exact_gap_fn ev c =
+  let better = action_index ev c.state c.better
+  and worse = action_index ev c.state c.worse in
+  fun theta ->
+    let r, v = optimal_values ev theta in
+    q_at ev r v c.state better -. q_at ev r v c.state worse
+
+let exact_gap ev theta c = exact_gap_fn ev c theta
 
 let repair_q ?(gamma = 0.9) ?(starts = 8) ?(seed = 0) ?(force = false) m
     ~theta ~constraints =
+  check_discount gamma;
   if Mdp.feature_dim m = 0 then
     invalid_arg "Reward_repair.repair_q: MDP has no features";
   if constraints = [] then invalid_arg "Reward_repair.repair_q: no constraints";
@@ -119,7 +271,8 @@ let repair_q ?(gamma = 0.9) ?(starts = 8) ?(seed = 0) ?(force = false) m
   if k <> Mdp.feature_dim m then
     invalid_arg "Reward_repair.repair_q: theta dimension mismatch";
   let satisfied th =
-    List.for_all (fun c -> q_gap ~gamma m th c >= c.margin) constraints
+    let q = q_table ~gamma m th in
+    List.for_all (fun c -> gap_of q c >= c.margin) constraints
   in
   if satisfied theta && not force then Already_satisfied
   else begin
@@ -128,11 +281,14 @@ let repair_q ?(gamma = 0.9) ?(starts = 8) ?(seed = 0) ?(force = false) m
     (* a small interior margin keeps the optimum strictly inside the
        feasible region so the final Q-table still verifies the raw margin *)
     let interior = 1e-6 in
+    (* the exact evaluator steers the search; value iteration verifies *)
+    let ev = gap_evaluator ~gamma m in
     let inequalities =
       List.mapi
         (fun i c ->
+           let gap = exact_gap_fn ev c in
            ( Printf.sprintf "q_constraint_%d" i,
-             fun dx -> c.margin +. interior -. q_gap ~gamma m (theta_plus dx) c ))
+             fun dx -> c.margin +. interior -. gap (theta_plus dx) ))
         constraints
     in
     let problem =
@@ -148,9 +304,9 @@ let repair_q ?(gamma = 0.9) ?(starts = 8) ?(seed = 0) ?(force = false) m
     | Nlp.Feasible s ->
       let delta = s.Nlp.x in
       let theta' = theta_plus delta in
-      let m' = Irl.apply_reward m theta' in
-      let policy, _ = Value.optimal_policy ~gamma m' in
-      let q_gaps = List.map (fun c -> (c, q_gap ~gamma m theta' c)) constraints in
+      let q = q_table ~gamma m theta' in
+      let policy = Value.greedy_policy m q in
+      let q_gaps = List.map (fun c -> (c, gap_of q c)) constraints in
       Repaired
         {
           theta = theta';

@@ -75,8 +75,29 @@ val repair_q :
   theta:float array ->
   constraints:q_constraint list ->
   result
-(** @raise Invalid_argument on unknown states/actions or an MDP without
-    features. *)
+(** The NLP search evaluates each constraint's gap with an exact
+    Q* evaluator ({!gap_evaluator}) built for this call.  The
+    [Already_satisfied] pre-check and the final [policy], [q_gaps] and
+    [verified] come from value iteration, one Q-table per θ.
+    @raise Invalid_argument on unknown states/actions, an MDP without
+    features, or a [gamma] outside (0, 1). *)
+
+(** {2 Exact Q-gap evaluation}
+
+    For a fixed policy π the values are linear in θ,
+    [V_π(θ) = (I − γP_π)⁻¹(Φθ + r_π)].  The evaluator finds Q* at θ by
+    policy iteration over these forms, solving each policy's form once
+    and keeping it in a table owned by the evaluator. *)
+
+type gap_evaluator
+(** Mutable: owned by one solve, never shared across domains. *)
+
+val gap_evaluator : gamma:float -> Mdp.t -> gap_evaluator
+(** @raise Invalid_argument on a [gamma] outside (0, 1). *)
+
+val exact_gap : gap_evaluator -> float array -> q_constraint -> float
+(** [Q*(state, better) − Q*(state, worse)] under the reward θᵀf.
+    @raise Invalid_argument on an action the state does not have. *)
 
 val policy_satisfies :
   Mdp.t -> Mdp.policy -> rules:Trace_logic.t list -> horizon:int -> bool

@@ -916,6 +916,12 @@ let job_of_request = function
         starts;
         backend = parse_backend backend;
       }
+  | Reward_repair_req { gamma; _ } when not (gamma > 0.0 && gamma < 1.0) ->
+    (* γ = 1 would hold a worker for minutes on unconverged values *)
+    raise
+      (Tml_error.Error
+         (Tml_error.Malformed_model
+            (Printf.sprintf "reward-repair: gamma %g outside (0, 1)" gamma)))
   | Reward_repair_req { mdp; theta; constraints; gamma; starts } ->
     Job.Reward_repair
       {

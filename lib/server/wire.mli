@@ -243,7 +243,8 @@ val job_of_request : job_request -> Job.t
 (** Decode with the lib/io parsers.  Raises the underlying parser's
     exception on malformed payloads (the router maps it to a
     ["bad-request"] wire error); an unknown [backend] slug is a
-    {!Protocol_error}. *)
+    {!Protocol_error}; a reward repair's [gamma] outside (0, 1) is a
+    permanent {!Tml_error.Malformed_model}. *)
 
 (** {1 Watch specs}
 

@@ -332,7 +332,128 @@ let test_reward_repair_validation () =
       RR.repair_q m ~theta:[| 0.0 |]
         ~constraints:[ { RR.state = 0; better = "safe"; worse = "risky"; margin = 0.0 } ]);
   expect_invalid "no constraints" (fun () ->
-      RR.repair_q m ~theta:[| 0.0; 0.0; 0.0 |] ~constraints:[])
+      RR.repair_q m ~theta:[| 0.0; 0.0; 0.0 |] ~constraints:[]);
+  List.iter
+    (fun gamma ->
+       expect_invalid (Printf.sprintf "gamma %g" gamma) (fun () ->
+           RR.repair_q ~gamma m ~theta:[| 0.0; 0.0; 0.0 |]
+             ~constraints:
+               [ { RR.state = 0; better = "safe"; worse = "risky"; margin = 0.0 } ]))
+    [ 1.0; 0.0; -0.5; 1.5; Float.nan ]
+
+(* Differential test: the exact per-policy evaluator that steers the NLP
+   against the value-iteration Q-table that verifies its result. *)
+
+(* n states, 3 actions each over 3 distinct random successors, random
+   action rewards and k = 3 features in [0, 1] *)
+let random_feature_mdp seed ~n =
+  let rng = Prng.create seed in
+  let successors () =
+    let perm = Array.init n Fun.id in
+    Prng.shuffle rng perm;
+    let w = Array.init 3 (fun _ -> 0.05 +. Prng.float rng) in
+    let total = Array.fold_left ( +. ) 0.0 w in
+    List.init 3 (fun i -> (perm.(i), w.(i) /. total))
+  in
+  let names = [ "a"; "b"; "c" ] in
+  Mdp.make ~n ~init:0
+    ~actions:
+      (List.concat_map
+         (fun s -> List.map (fun a -> (s, a, successors ())) names)
+         (List.init n Fun.id))
+    ~action_rewards:
+      (List.concat_map
+         (fun s -> List.map (fun a -> ((s, a), Prng.uniform rng (-0.5) 0.5)) names)
+         (List.init n Fun.id))
+    ~features:(Array.init n (fun _ -> Array.init 3 (fun _ -> Prng.float rng)))
+    ()
+
+(* every ordered pair of distinct actions in every state *)
+let all_gaps m =
+  List.concat_map
+    (fun s ->
+       let names = Mdp.action_names m s in
+       List.concat_map
+         (fun better ->
+            List.filter_map
+              (fun worse ->
+                 if better = worse then None
+                 else Some { RR.state = s; better; worse; margin = 0.0 })
+              names)
+         names)
+    (List.init (Mdp.num_states m) Fun.id)
+
+let vi_greedy ~gamma m theta =
+  fst (Value.optimal_policy ~gamma (Irl.apply_reward m theta))
+
+(* points on both sides of a greedy-policy switch: bisect the segment
+   between two θ with different greedy policies down to the switch, then
+   step off it by shrinking offsets *)
+let switch_points ~gamma m rng k =
+  let rand () = Array.init k (fun _ -> Prng.uniform rng (-2.0) 2.0) in
+  let lerp a b t = Array.mapi (fun i ai -> ai +. (t *. (b.(i) -. ai))) a in
+  let rec pair tries =
+    if tries = 0 then None
+    else
+      let a = rand () and b = rand () in
+      if vi_greedy ~gamma m a <> vi_greedy ~gamma m b then Some (a, b)
+      else pair (tries - 1)
+  in
+  match pair 200 with
+  | None -> []
+  | Some (a, b) ->
+    let pa = vi_greedy ~gamma m a in
+    let lo = ref 0.0 and hi = ref 1.0 in
+    for _ = 1 to 50 do
+      let mid = 0.5 *. (!lo +. !hi) in
+      if vi_greedy ~gamma m (lerp a b mid) = pa then lo := mid else hi := mid
+    done;
+    List.concat_map
+      (fun d -> [ lerp a b (!lo -. d); lerp a b (!hi +. d) ])
+      [ 1e-3; 1e-5; 1e-7; 1e-9; 0.0 ]
+
+let check_evaluator name ~gamma m ~seed =
+  let k = Mdp.feature_dim m in
+  let rng = Prng.create seed in
+  let gaps = all_gaps m in
+  let ev = RR.gap_evaluator ~gamma m in
+  let box =
+    List.init 200 (fun _ -> Array.init k (fun _ -> Prng.uniform rng (-2.0) 2.0))
+  in
+  let near_switch =
+    List.concat (List.init 4 (fun _ -> switch_points ~gamma m rng k))
+  in
+  Alcotest.(check bool) (name ^ ": found a policy switch") true (near_switch <> []);
+  let worst = ref 0.0 in
+  List.iter
+    (fun theta ->
+       let q = Value.q_values ~gamma (Irl.apply_reward m theta) in
+       List.iter
+         (fun c ->
+            let row = q.(c.RR.state) in
+            let reference =
+              List.assoc c.RR.better row -. List.assoc c.RR.worse row
+            in
+            worst :=
+              Float.max !worst
+                (Float.abs (RR.exact_gap ev theta c -. reference)))
+         gaps)
+    (box @ near_switch);
+  if !worst > 1e-8 then
+    Alcotest.failf "%s: exact gap differs from value iteration by %g" name !worst
+
+let test_exact_gap_car () =
+  check_evaluator "car" ~gamma:0.9 (Car.mdp ()) ~seed:11
+
+let test_exact_gap_rr_mdp () =
+  check_evaluator "rr_mdp" ~gamma:0.9 (rr_mdp ()) ~seed:12
+
+let test_exact_gap_random () =
+  List.iter
+    (fun (seed, n, gamma) ->
+       check_evaluator (Printf.sprintf "random n=%d seed=%d" n seed) ~gamma
+         (random_feature_mdp seed ~n) ~seed)
+    [ (21, 20, 0.9); (22, 24, 0.8); (23, 30, 0.95) ]
 
 let test_projection_weights () =
   let m = rr_mdp () in
@@ -499,6 +620,12 @@ let () =
         [ Alcotest.test_case "q-constraint repair" `Quick test_reward_repair_q;
           Alcotest.test_case "already satisfied" `Quick test_reward_repair_already;
           Alcotest.test_case "validation" `Quick test_reward_repair_validation;
+          Alcotest.test_case "exact gap = value iteration (car)" `Quick
+            test_exact_gap_car;
+          Alcotest.test_case "exact gap = value iteration (rr_mdp)" `Quick
+            test_exact_gap_rr_mdp;
+          Alcotest.test_case "exact gap = value iteration (random MDPs)" `Quick
+            test_exact_gap_random;
           Alcotest.test_case "projection weights (Prop. 4)" `Quick test_projection_weights;
           Alcotest.test_case "projection repair" `Quick test_projection_repair_flips_reward;
           Alcotest.test_case "policy_satisfies" `Quick test_policy_satisfies;

@@ -184,8 +184,17 @@ let stress_jobs () =
            backend = Repair_backend.Nlp_solver })
     [ 35; 36; 37; 38; 39; 40; 41; 42 ]
 
-let test_batch_determinism_stress () =
-  let jobs = stress_jobs () in
+(* The car reward-repair jobs of `tml batch --suite car`: the paper's
+   Q(S1, left) > Q(S1, fwd) repair at discounts 0.88..0.915. *)
+let car_jobs () =
+  let mdp = Car.mdp () in
+  List.init 8 (fun j ->
+      Job.Reward_repair
+        { mdp; theta = Car.paper_learned_theta;
+          constraints = [ Car.unsafe_q_constraint ];
+          gamma = 0.88 +. (0.005 *. float_of_int j); starts = 2 })
+
+let check_batch_determinism jobs =
   let render o = Format.asprintf "%a" Job.pp_outcome o in
   let reference = List.map (fun j -> render (Job.run j)) jobs in
   let mismatches = ref [] in
@@ -209,6 +218,9 @@ let test_batch_determinism_stress () =
     [ 2; 4 ];
   Alcotest.(check (list string)) "reports identical to Job.run" []
     (List.rev !mismatches)
+
+let test_batch_determinism_stress () = check_batch_determinism (stress_jobs ())
+let test_car_batch_determinism () = check_batch_determinism (car_jobs ())
 
 (* ------------------------------- chaos -------------------------------- *)
 
@@ -314,6 +326,8 @@ let () =
       ( "batch determinism",
         [ Alcotest.test_case "wsn batch, 2 and 4 workers" `Quick
             test_batch_determinism_stress;
+          Alcotest.test_case "car reward-repair batch, 2 and 4 workers" `Quick
+            test_car_batch_determinism;
         ] );
       ( "chaos",
         [ Alcotest.test_case "subtask crash retried" `Quick

@@ -370,6 +370,28 @@ let test_submit_wait_poll_cancel () =
        Client.submit c
          (Wire.Check_req { model = "garbage"; phi = "P>=0.5 [ F goal ]" }))
 
+let test_reward_repair_gamma_rejected () =
+  with_server @@ fun addr _server _router ->
+  Client.with_client addr @@ fun c ->
+  let t0 = Unix.gettimeofday () in
+  (* γ = 1 never contracts: the request is refused at decode, before it
+     can hold a worker on value iteration that does not converge *)
+  expect_remote_error ~kind:"malformed-model" ~transient:false "gamma 1.0"
+    (fun () ->
+       Client.submit c
+         (Wire.Reward_repair_req
+            {
+              mdp = Mdp_io.to_string (Car.mdp ());
+              theta = Array.to_list Car.paper_learned_theta;
+              constraints = [ (1, "left", "fwd", 1e-3) ];
+              gamma = 1.0;
+              starts = 1;
+            }));
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "answered in %.3f s (< 1 s)" elapsed)
+    true (elapsed < 1.0)
+
 let test_wait_timeout_and_cancel () =
   with_delay_faults ~fires:4 ~delay:0.4 @@ fun () ->
   with_server ~workers:1 @@ fun addr _server _router ->
@@ -928,6 +950,8 @@ let () =
             test_ping_stats_over_unix_socket;
           Alcotest.test_case "submit/wait/poll/cancel" `Quick
             test_submit_wait_poll_cancel;
+          Alcotest.test_case "reward repair rejects gamma 1" `Quick
+            test_reward_repair_gamma_rejected;
           Alcotest.test_case "wait timeout and cancel" `Quick
             test_wait_timeout_and_cancel;
           Alcotest.test_case "admission sheds overloaded" `Quick
