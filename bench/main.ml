@@ -148,10 +148,6 @@ let e2_nlp_with method_ =
 let ablation_benches =
   [ Test.make ~name:"ablation/optimizer=penalty backend=nlp"
       (Staged.stage (fun () -> e2_nlp_with Nlp.Penalty));
-    Test.make ~name:"ablation/repair=localized (X=40) backend=local"
-      (Staged.stage (fun () ->
-           Local_repair.repair (Lazy.force wsn_chain) (Wsn.property 40)
-             (Wsn.repair_spec wsn_params)));
     Test.make ~name:"ablation/optimizer=auglag backend=nlp"
       (Staged.stage (fun () -> e2_nlp_with Nlp.Augmented_lagrangian));
     Test.make ~name:"ablation/elim-order=min-degree"
@@ -292,18 +288,6 @@ let substrate_benches =
       (let ball = lazy (Idtmc.of_dtmc ~radius:0.01 (Lazy.force wsn_chain)) in
        Staged.stage (fun () ->
            Robust.reachability Robust.Pessimistic (Lazy.force ball) ~target:[ 0 ]));
-    Test.make ~name:"substrate/hmm forward-backward (len 100)"
-      (let h =
-         Hmm.make ~initial:[| 0.6; 0.4 |]
-           ~transition:[| [| 0.7; 0.3 |]; [| 0.4; 0.6 |] |]
-           ~emission:[| [| 0.9; 0.1 |]; [| 0.2; 0.8 |] |]
-           ()
-       in
-       let obs =
-         let rng = Prng.create 13 in
-         snd (Hmm.simulate rng h ~len:100)
-       in
-       Staged.stage (fun () -> Hmm.forward_backward h obs));
   ]
 
 (* Region-lifting section (lib/region): the bound propagator, the

@@ -2,9 +2,13 @@
 
     The repair stack reports wall-clock timings of its expensive stages —
     [learn] (MLE / parametric MLE), [eliminate] (parametric model checking),
-    [solve] (the repair NLP) and [check] (numeric PCTL verification) — to an
-    installable recorder.  With no recorder installed the probes are free
-    (a single atomic load per stage).
+    [solve] (the repair NLP) and [check] (numeric PCTL verification) — to
+    the [tml_stage_seconds{stage}] {!Metrics} histograms and as
+    [stage:<name>] {!Trace_span}s (free when tracing is disabled).  The
+    histograms are the one record of stage timings: they are process-wide,
+    so their totals accumulate across every runtime the process opens and
+    reset only with {!Metrics.reset}.  [Runtime_stats] reads its stage
+    totals from them.
 
     The probes also serve two fault-tolerance duties:
 
@@ -14,28 +18,17 @@
       job, and {!time} polls it at every stage boundary — a job whose
       deadline expired (or whose future was cancelled) mid-run raises
       {!Deadline_exceeded} / {!Cancelled_in_flight} at the next stage
-      instead of running to completion.
-
-    The runtime layer ([Runtime.Stats]) installs a thread-safe recorder
-    here; recorders may be called concurrently from several domains, and
-    the recorder slot itself is an [Atomic.t] so concurrent installs and
-    probes never tear.
-
-    Since the observability layer landed, every timed stage additionally
-    emits a {!Trace_span} named [stage:<name>] (free when tracing is
-    disabled) and an observation into the [tml_stage_seconds] {!Metrics}
-    histogram.  The plain-recorder interface below is kept as a shim for
-    existing callers ([Runtime_stats]); new code should read stage
-    timings from the metrics registry or a span dump instead. *)
+      instead of running to completion. *)
 
 type stage = Learn | Eliminate | Solve | Check
 
 val stage_name : stage -> string
 (** ["learn"], ["eliminate"], ["solve"], ["check"]. *)
 
-val set_recorder : (stage -> float -> unit) option -> unit
-(** Install (or remove) the process-wide recorder.  The recorder receives
-    the stage and its elapsed wall-clock seconds, once per timed section. *)
+val stage_histogram : stage -> Metrics.histogram
+(** The process-wide [tml_stage_seconds{stage}] histogram that {!time}
+    feeds: one observation (elapsed wall-clock seconds) per timed
+    section, from every domain and every runtime in the process. *)
 
 exception Deadline_exceeded
 (** Raised by a stage-boundary checkpoint when the current token's
@@ -61,6 +54,5 @@ val checkpoint : unit -> unit
 val time : stage -> (unit -> 'a) -> 'a
 (** [time stage f] probes the stage's {!Fault} site, polls {!checkpoint},
     then runs [f ()] inside a [stage:<name>] trace span, reporting its
-    duration to the [tml_stage_seconds] histogram and to the recorder (if
-    any).  Exceptions propagate; the duration is still reported and the
-    span is marked errored. *)
+    duration to {!stage_histogram}.  Exceptions propagate; the duration is
+    still reported and the span is marked errored. *)

@@ -156,11 +156,6 @@ and sat dtmc (f : Pctl.state_formula) : bool array =
 
 let path_probabilities dtmc psi = path_probabilities_sat dtmc psi
 
-let reach_probabilities dtmc target =
-  if Array.length target <> Dtmc.num_states dtmc then
-    invalid_arg "Check_dtmc.reach_probabilities: wrong mask length";
-  until_probabilities dtmc (all_true (Dtmc.num_states dtmc)) target
-
 let path_probability dtmc psi =
   (path_probabilities dtmc psi).(Dtmc.init_state dtmc)
 

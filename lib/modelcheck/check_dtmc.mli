@@ -20,12 +20,6 @@ val reachability_reward : Dtmc.t -> Pctl.state_formula -> float array
 
 val reachability_reward_from_init : Dtmc.t -> Pctl.state_formula -> float
 
-val reach_probabilities : Dtmc.t -> bool array -> float array
-(** [Pr(s ⊨ F target)] for an explicit target mask — the raw reachability
-    engine behind {!path_probabilities}, exposed for clients (steady-state
-    analysis, custom target sets) that have a state set rather than a
-    labelled formula. @raise Invalid_argument on a wrong-length mask. *)
-
 val sat : Dtmc.t -> Pctl.state_formula -> bool array
 (** The satisfaction set, one entry per state. *)
 

@@ -4,13 +4,13 @@
     by {!Job.digest}, an elimination cache installed into
     {!Elimination.set_memo} (so repeated parametric queries on structurally
     identical chains skip state elimination entirely, across {e all} repair
-    entry points), and a {!Runtime_stats} collector fed by the {!Instr}
-    stage probes.
+    entry points), and a {!Runtime_stats} collector whose stage totals
+    come from the process-wide {!Instr} stage histograms.
 
-    The elimination memo and stage recorder are process-global hooks; the
-    most recently created runtime owns them, and {!shutdown} uninstalls
-    them.  Create runtimes one at a time (the intended use: one runtime per
-    server process).
+    The elimination memo, the fault observer and the parallel runner are
+    process-global hooks; the most recently created runtime owns them, and
+    {!shutdown} uninstalls them.  Create runtimes one at a time (the
+    intended use: one runtime per server process).
 
     Jobs are deterministic, so a batch run on [k] workers produces results
     byte-identical to sequential execution — see {!Job.pp_outcome}.
@@ -77,7 +77,8 @@ val run_batch :
     never raises: late submissions resolve [Cancelled]. *)
 
 val stats : t -> Runtime_stats.snapshot
-(** A consistent snapshot of this runtime's counters and stage totals. *)
+(** A consistent snapshot of this runtime's counters, plus the
+    process-wide stage totals. *)
 
 val report_cache_counters : t -> Lru_cache.counters option
 (** Hit/miss/eviction counters of the report cache; [None] if disabled. *)
@@ -93,7 +94,8 @@ val stats_json : t -> string
 
 val shutdown : ?drain:bool -> t -> unit
 (** Shut the pool down ({!Pool.shutdown}) and uninstall the global
-    elimination memo and stage recorder.  Idempotent. *)
+    hooks (elimination memo, fault observer, parallel runner).
+    Idempotent. *)
 
 val with_runtime :
   ?workers:int ->

@@ -37,14 +37,12 @@ type t = {
   mutable faults_injected : int;
   mutable report_cache_hits : int;
   mutable max_queue_depth : int;
-  stage_counts : int array;  (* indexed by stage *)
-  stage_totals : float array;
 }
 
 (* Every per-runtime counter is mirrored into the process-wide {!Metrics}
    registry (which outlives the runtime), under stable Prometheus names.
-   Stage histograms are NOT mirrored here — Instr.time feeds
-   [tml_stage_seconds] directly, so they'd double-count. *)
+   Stage totals are not counted here at all: Instr.time feeds the
+   [tml_stage_seconds] histograms and [snapshot] reads them back. *)
 let metric =
   let mk name help = Metrics.counter name ~help in
   let submitted = mk "tml_jobs_submitted_total" "Jobs submitted"
@@ -77,12 +75,6 @@ let queue_depth_max_gauge =
   Metrics.gauge "tml_queue_depth_max"
     ~help:"Pool queue depth high-water mark"
 
-let stage_index = function
-  | Instr.Learn -> 0
-  | Instr.Eliminate -> 1
-  | Instr.Solve -> 2
-  | Instr.Check -> 3
-
 let all_stages = [ Instr.Learn; Instr.Eliminate; Instr.Solve; Instr.Check ]
 
 let create () =
@@ -98,8 +90,6 @@ let create () =
     faults_injected = 0;
     report_cache_hits = 0;
     max_queue_depth = 0;
-    stage_counts = Array.make 4 0;
-    stage_totals = Array.make 4 0.0;
   }
 
 let locked t f =
@@ -119,12 +109,6 @@ let incr t which =
       | `Respawned -> t.respawned <- t.respawned + 1
       | `Fault_injected -> t.faults_injected <- t.faults_injected + 1
       | `Report_hit -> t.report_cache_hits <- t.report_cache_hits + 1)
-
-let record_stage t stage dt =
-  locked t (fun () ->
-      let i = stage_index stage in
-      t.stage_counts.(i) <- t.stage_counts.(i) + 1;
-      t.stage_totals.(i) <- t.stage_totals.(i) +. dt)
 
 let observe_queue_depth t depth =
   let d = float_of_int depth in
@@ -149,9 +133,10 @@ let snapshot t =
         stages =
           List.map
             (fun s ->
-               let i = stage_index s in
+               let h = Instr.stage_histogram s in
                ( Instr.stage_name s,
-                 { count = t.stage_counts.(i); total_s = t.stage_totals.(i) } ))
+                 { count = Metrics.histogram_count h;
+                   total_s = Metrics.histogram_sum h } ))
             all_stages;
       })
 

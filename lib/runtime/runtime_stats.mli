@@ -1,16 +1,18 @@
 (** Thread-safe instrumentation counters for the repair runtime.
 
-    Collects job counts, queue-depth high-water mark and per-stage
-    wall-clock totals (fed by {!Instr} recorders installed by
-    {!Runtime.create}), and renders everything — together with the cache
-    counters — as a JSON object.
+    Collects job counts and the queue-depth high-water mark, reads the
+    per-stage wall-clock totals, and renders everything — together with
+    the cache counters — as a JSON object.
 
     Every per-runtime counter is also mirrored into the process-wide
     {!Metrics} registry under a stable Prometheus name
     ([tml_jobs_submitted_total], [tml_retries_total], …), so metrics
-    accumulate across runtime lifetimes while snapshots stay scoped to
-    one runtime.  Stage timings are {e not} mirrored here — {!Instr.time}
-    feeds the [tml_stage_seconds] histogram directly. *)
+    accumulate across runtime lifetimes while job counters stay scoped to
+    one runtime.  Stage totals are the exception: they are read from the
+    [tml_stage_seconds{stage}] histograms that {!Instr.time} feeds, so
+    they are process-wide — they cover every runtime the process has
+    opened (and any stage timed outside a runtime) since start-up or the
+    last {!Metrics.reset}. *)
 
 type t
 (** A mutable counter set owned by one runtime. *)
@@ -30,7 +32,8 @@ type snapshot = {
       (** jobs answered from the report cache without touching the pool *)
   max_queue_depth : int;
   stages : (string * stage_totals) list;
-      (** keyed by {!Instr.stage_name}: learn / eliminate / solve / check *)
+      (** keyed by {!Instr.stage_name}: learn / eliminate / solve / check;
+          process-wide, read from {!Instr.stage_histogram} *)
 }
 
 type counter =
@@ -52,16 +55,13 @@ val incr : t -> counter -> unit
 (** Count one event, in this runtime and in the global {!Metrics}
     registry.  Thread-safe. *)
 
-val record_stage : t -> Instr.stage -> float -> unit
-(** Add one timed stage run of the given duration (seconds) — the
-    recorder {!Runtime.create} installs into {!Instr.set_recorder}. *)
-
 val observe_queue_depth : t -> int -> unit
 (** Track the queue-depth high-water mark (and the [tml_queue_depth]
     gauges). *)
 
 val snapshot : t -> snapshot
-(** A consistent copy of every counter and stage total. *)
+(** A consistent copy of every job counter, plus the process-wide stage
+    totals at the time of the call. *)
 
 val to_json :
   workers:int ->

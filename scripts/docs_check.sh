@@ -9,6 +9,9 @@
 #   3. Every `--flag` mentioned in docs/*.md must exist in the current
 #      `tml --help` output of some subcommand — docs may not reference
 #      flags that were renamed or removed.
+#   4. Every library module (lib/**/*.ml) must be named in some other
+#      .ml under lib/, bin/ or examples/ — no module is reachable only
+#      from its own tests or the bench.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -92,6 +95,22 @@ if [ -n "$stale" ]; then
   fail=1
 else
   echo "ok: every --flag in docs/*.md exists in tml --help"
+fi
+
+# ----- 4. unreachable library modules --------------------------------------
+
+orphans=$(for f in $(git ls-files 'lib/**/*.ml'); do
+            b=$(basename "$f" .ml)
+            m=$(printf '%s' "${b:0:1}" | tr a-z A-Z)${b:1}
+            grep -rlw --include='*.ml' -- "$m" lib bin examples \
+              | grep -qvx -- "$f" || echo "$f ($m)"
+          done)
+if [ -n "$orphans" ]; then
+  echo "FAIL: library modules no lib/, bin/ or examples/ code names:" >&2
+  echo "$orphans" >&2
+  fail=1
+else
+  echo "ok: every lib/ module is reached from lib/, bin/ or examples/"
 fi
 
 exit $fail

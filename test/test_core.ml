@@ -185,87 +185,6 @@ let test_data_repair_spec_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unknown pinned group accepted"
 
-(* ---------------- MDP model repair ---------------- *)
-
-(* Two actions in state 0; both must satisfy P>=b for universal semantics. *)
-let mdp_for_repair () =
-  Mdp.make ~n:3 ~init:0
-    ~actions:
-      [ (0, "a", [ (1, 0.3); (2, 0.7) ]);
-        (0, "b", [ (1, 0.4); (2, 0.6) ]);
-        (1, "stay", [ (1, 1.0) ]);
-        (2, "stay", [ (2, 1.0) ]);
-      ]
-    ~labels:[ ("goal", [ 1 ]) ]
-    ()
-
-let mdp_spec hi =
-  {
-    Mdp_repair.variables = [ ("v", 0.0, hi) ];
-    deltas =
-      [ (0, "a", 1, Ratfun.var "v");
-        (0, "a", 2, Ratfun.neg (Ratfun.var "v"));
-        (0, "b", 1, Ratfun.var "v");
-        (0, "b", 2, Ratfun.neg (Ratfun.var "v"));
-      ];
-  }
-
-let test_mdp_repair_feasible () =
-  let m = mdp_for_repair () in
-  (* P>=0.5 under universal semantics: the worse action ("a", 0.3) binds,
-     so v* = 0.2 lifts both to >= 0.5. *)
-  match Mdp_repair.repair m (parse "P>=0.5 [ F goal ]") (mdp_spec 0.5) with
-  | Mdp_repair.Repaired r ->
-    Alcotest.(check (float 2e-3)) "v*" 0.2 (List.assoc "v" r.Mdp_repair.assignment);
-    Alcotest.(check int) "2 policies enumerated" 2 r.Mdp_repair.constraints_checked;
-    Alcotest.(check bool) "verified" true r.Mdp_repair.verified;
-    (* both actions repaired *)
-    (match Mdp.find_action r.Mdp_repair.mdp 0 "a" with
-     | Some a ->
-       Alcotest.(check (float 2e-3)) "a lifted" 0.5 (List.assoc 1 a.Mdp.dist)
-     | None -> Alcotest.fail "action lost")
-  | _ -> Alcotest.fail "expected Repaired"
-
-let test_mdp_repair_other_outcomes () =
-  let m = mdp_for_repair () in
-  (match Mdp_repair.repair m (parse "P>=0.25 [ F goal ]") (mdp_spec 0.5) with
-   | Mdp_repair.Already_satisfied -> ()
-   | _ -> Alcotest.fail "expected Already_satisfied");
-  (match Mdp_repair.repair m (parse "P>=0.9 [ F goal ]") (mdp_spec 0.1) with
-   | Mdp_repair.Infeasible { min_violation } ->
-     Alcotest.(check bool) "violation" true (min_violation > 0.0)
-   | _ -> Alcotest.fail "expected Infeasible");
-  (* validation *)
-  let expect_invalid msg f =
-    match f () with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.failf "%s: expected Invalid_argument" msg
-  in
-  expect_invalid "unknown action" (fun () ->
-      Mdp_repair.repair m (parse "P>=0.5 [ F goal ]")
-        {
-          Mdp_repair.variables = [ ("v", 0.0, 0.5) ];
-          deltas = [ (0, "jump", 1, Ratfun.var "v") ];
-        });
-  expect_invalid "unknown edge" (fun () ->
-      Mdp_repair.repair m (parse "P>=0.5 [ F goal ]")
-        {
-          Mdp_repair.variables = [ ("v", 0.0, 0.5) ];
-          deltas = [ (1, "stay", 2, Ratfun.var "v") ];
-        });
-  expect_invalid "policy cap" (fun () ->
-      Mdp_repair.repair ~policy_cap:1 m (parse "P>=0.5 [ F goal ]") (mdp_spec 0.5))
-
-let test_enumerate_policies () =
-  let m = mdp_for_repair () in
-  let pis = Mdp_repair.enumerate_policies m in
-  (* two actions in state 0, one everywhere else *)
-  Alcotest.(check int) "count" 2 (List.length pis);
-  List.iter
-    (fun pi ->
-       Alcotest.(check bool) "valid" true (Mdp.validate_policy m pi = Ok ()))
-    pis
-
 (* ---------------- Reward repair ---------------- *)
 
 (* Two-path MDP with features: risky path passes a bad state. *)
@@ -610,11 +529,6 @@ let () =
           Alcotest.test_case "already satisfied" `Quick test_data_repair_already;
           Alcotest.test_case "infeasible" `Quick test_data_repair_infeasible;
           Alcotest.test_case "spec validation" `Quick test_data_repair_spec_validation;
-        ] );
-      ( "mdp model repair",
-        [ Alcotest.test_case "feasible" `Quick test_mdp_repair_feasible;
-          Alcotest.test_case "other outcomes" `Quick test_mdp_repair_other_outcomes;
-          Alcotest.test_case "policy enumeration" `Quick test_enumerate_policies;
         ] );
       ( "reward repair",
         [ Alcotest.test_case "q-constraint repair" `Quick test_reward_repair_q;

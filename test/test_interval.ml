@@ -148,122 +148,6 @@ let test_robust_reward () =
   let worst = Robust.expected_reward Robust.Pessimistic trap ~target:[ 1 ] in
   Alcotest.(check bool) "divergent" true (worst.(0) = Float.infinity)
 
-(* ---------------- Interval MDPs ---------------- *)
-
-(* choice between a precise action and an uncertain one:
-   "sure" reaches goal with exactly 0.5; "gamble" in [0.3, 0.8]. *)
-let imdp_choice () =
-  Imdp.make ~n:3 ~init:0
-    ~actions:
-      [ (0, "sure", [ (1, 0.5, 0.5); (2, 0.5, 0.5) ]);
-        (0, "gamble", [ (1, 0.3, 0.8); (2, 0.2, 0.7) ]);
-        (1, "stay", [ (1, 1.0, 1.0) ]);
-        (2, "stay", [ (2, 1.0, 1.0) ]);
-      ]
-    ~labels:[ ("goal", [ 1 ]) ]
-    ()
-
-let test_imdp_construction () =
-  let m = imdp_choice () in
-  Alcotest.(check int) "n" 3 (Imdp.num_states m);
-  Alcotest.(check int) "actions" 2 (List.length (Imdp.actions_of m 0));
-  let expect_invalid msg f =
-    match f () with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.failf "%s: expected Invalid_argument" msg
-  in
-  expect_invalid "no actions" (fun () ->
-      Imdp.make ~n:2 ~init:0 ~actions:[ (0, "a", [ (0, 1.0, 1.0) ]) ] ());
-  expect_invalid "infeasible row" (fun () ->
-      Imdp.make ~n:1 ~init:0 ~actions:[ (0, "a", [ (0, 0.1, 0.3) ]) ] ());
-  expect_invalid "duplicate action" (fun () ->
-      Imdp.make ~n:1 ~init:0
-        ~actions:[ (0, "a", [ (0, 1.0, 1.0) ]); (0, "a", [ (0, 1.0, 1.0) ]) ]
-        ());
-  (* of_mdp lifting *)
-  let base =
-    Mdp.make ~n:2 ~init:0
-      ~actions:[ (0, "go", [ (1, 0.9); (0, 0.1) ]); (1, "stay", [ (1, 1.0) ]) ]
-      ()
-  in
-  let lifted = Imdp.of_mdp ~radius:0.05 base in
-  (match List.assoc_opt "go" (Imdp.actions_of lifted 0) with
-   | Some edges ->
-     let _, lo, hi = List.find (fun (d, _, _) -> d = 1) edges in
-     Alcotest.(check (float 1e-12)) "lo" 0.85 lo;
-     Alcotest.(check (float 1e-12)) "hi" 0.95 hi
-   | None -> Alcotest.fail "action lost")
-
-let test_robust_mdp_reachability () =
-  let m = imdp_choice () in
-  (* best controller, worst nature: gamble's worst case is 0.3 < sure's
-     0.5, so the robust controller plays sure -> 0.5 *)
-  let v =
-    Robust_mdp.reachability ~controller:Check_mdp.Max
-      ~nature:Robust.Pessimistic m ~target:[ 1 ]
-  in
-  Alcotest.(check (float 1e-9)) "maximin" 0.5 v.(0);
-  let pi =
-    Robust_mdp.robust_policy ~controller:Check_mdp.Max
-      ~nature:Robust.Pessimistic m ~target:[ 1 ]
-  in
-  Alcotest.(check string) "robust policy plays sure" "sure" pi.(0);
-  (* best controller, friendly nature: gamble can reach 0.8 *)
-  let v =
-    Robust_mdp.reachability ~controller:Check_mdp.Max ~nature:Robust.Optimistic
-      m ~target:[ 1 ]
-  in
-  Alcotest.(check (float 1e-9)) "maximax" 0.8 v.(0);
-  let pi =
-    Robust_mdp.robust_policy ~controller:Check_mdp.Max ~nature:Robust.Optimistic
-      m ~target:[ 1 ]
-  in
-  Alcotest.(check string) "optimistic policy gambles" "gamble" pi.(0);
-  (* worst controller, worst nature: gamble down to 0.3 *)
-  let v =
-    Robust_mdp.reachability ~controller:Check_mdp.Min
-      ~nature:Robust.Pessimistic m ~target:[ 1 ]
-  in
-  Alcotest.(check (float 1e-9)) "minimin" 0.3 v.(0)
-
-let test_robust_mdp_check () =
-  let m = imdp_choice () in
-  (* P>=b: min controller + pessimistic nature = 0.3 *)
-  Alcotest.(check bool) "P>=0.25 robust" true
-    (Robust_mdp.check m (Pctl_parser.parse "P>=0.25 [ F goal ]"));
-  Alcotest.(check bool) "P>=0.4 not robust" false
-    (Robust_mdp.check m (Pctl_parser.parse "P>=0.4 [ F goal ]"));
-  (* P<=b: max controller + optimistic nature = 0.8 *)
-  Alcotest.(check bool) "P<=0.85 robust" true
-    (Robust_mdp.check m (Pctl_parser.parse "P<=0.85 [ F goal ]"));
-  Alcotest.(check bool) "P<=0.7 not robust" false
-    (Robust_mdp.check m (Pctl_parser.parse "P<=0.7 [ F goal ]"));
-  match Robust_mdp.check m (Pctl_parser.parse "P>=0.1 [ X goal ]") with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "non-F path formula rejected"
-
-let test_robust_mdp_degenerate_agrees_with_mdp () =
-  (* zero-radius intervals: robust MDP analysis equals standard MDP
-     checking *)
-  let m =
-    Mdp.make ~n:3 ~init:0
-      ~actions:
-        [ (0, "safe", [ (1, 1.0) ]);
-          (0, "risky", [ (2, 0.8); (1, 0.2) ]);
-          (1, "stay", [ (1, 1.0) ]);
-          (2, "stay", [ (2, 1.0) ]);
-        ]
-      ~labels:[ ("good", [ 2 ]) ]
-      ()
-  in
-  let lifted = Imdp.of_mdp ~radius:0.0 m in
-  let robust =
-    (Robust_mdp.reachability ~controller:Check_mdp.Max
-       ~nature:Robust.Pessimistic lifted ~target:[ 2 ]).(0)
-  in
-  let exact = Check_mdp.path_probability Check_mdp.Max m (Eventually (Prop "good")) in
-  Alcotest.(check (float 1e-9)) "agrees" exact robust
-
 (* property: the robust bounds bracket every sampled member chain *)
 let props =
   [ QCheck_alcotest.to_alcotest
@@ -301,13 +185,6 @@ let () =
           Alcotest.test_case "reachability bounds" `Quick test_reachability_bounds;
           Alcotest.test_case "check" `Quick test_robust_check;
           Alcotest.test_case "rewards" `Quick test_robust_reward;
-        ] );
-      ( "imdp",
-        [ Alcotest.test_case "construction" `Quick test_imdp_construction;
-          Alcotest.test_case "reachability" `Quick test_robust_mdp_reachability;
-          Alcotest.test_case "check" `Quick test_robust_mdp_check;
-          Alcotest.test_case "degenerate = MDP" `Quick
-            test_robust_mdp_degenerate_agrees_with_mdp;
         ] );
       ("properties", props);
     ]

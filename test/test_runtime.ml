@@ -311,6 +311,23 @@ let test_runtime_stage_timings () =
              true (contains needle))
         [ "\"jobs\""; "\"eliminate\""; "\"hit_rate\""; "\"workers\": 1" ])
 
+(* Stage totals are process-wide: a second runtime opening and shutting
+   down inside the first must not stop the first from seeing its own
+   jobs' stages. *)
+let test_runtime_stage_timings_two_runtimes () =
+  Runtime.with_runtime ~workers:1 (fun a ->
+      Runtime.with_runtime ~workers:1 (fun _b -> ());
+      let eliminate () =
+        (List.assoc "eliminate" (Runtime.stats a).Runtime_stats.stages)
+          .Runtime_stats.count
+      in
+      let before = eliminate () in
+      let _ = Runtime.run_batch a (repair_jobs [ 0.5 ]) in
+      let after = eliminate () in
+      Alcotest.(check bool) "elimination observed" true (after >= 1);
+      Alcotest.(check bool) "this job's elimination counted" true
+        (after - before >= 1))
+
 let test_runtime_cache_disabled () =
   let jobs = repair_jobs [ 0.5; 0.5 ] in
   Runtime.with_runtime ~workers:1 ~report_cache_capacity:0
@@ -435,6 +452,8 @@ let () =
           Alcotest.test_case "report cache on repeat" `Quick
             test_report_cache_hits_on_repeat;
           Alcotest.test_case "stage timings" `Quick test_runtime_stage_timings;
+          Alcotest.test_case "stage timings, two runtimes" `Quick
+            test_runtime_stage_timings_two_runtimes;
           Alcotest.test_case "caches disabled" `Quick
             test_runtime_cache_disabled;
           Alcotest.test_case "full queue sheds Overloaded" `Quick
