@@ -46,22 +46,18 @@ val repair :
   ?labels:(string * int list) list ->
   ?rewards:Ratio.t array ->
   ?backend:Repair_backend.t ->
-  ?solver:Nlp.method_ ->
   ?starts:int ->
-  ?seed:int ->
-  ?cost:(float array -> float) ->
-  ?force:bool ->
-  ?gap:float ->
   Pctl.state_formula ->
   spec ->
   result
-(** The default cost is [Σ x_g²] (the squared perturbation magnitude of
-    Eq. 11).  [backend] has the same semantics as in {!Model_repair.repair}:
-    [Region] solves by certified branch-and-bound over the drop-fraction
-    box (pinned groups become zero-width dimensions) to the relative
-    optimality [gap] (default 0.05); [Smc_prefilter] runs a seeded SPRT on
-    the model learned from the unrepaired data before the exact initial
-    check, then solves on the NLP path.
+(** [repair ~n ~init φ spec] learns the parametric model and hands it to
+    {!Repair_backend.solve}, which minimises [Σ x_g²] (the squared
+    perturbation magnitude of Eq. 11) over the drop-fraction box;
+    pinned groups get zero-width bounds.  [backend] (default
+    [Nlp_solver]) has the same semantics as in {!Model_repair.repair};
+    the original model it checks is the one learned from the unrepaired
+    data, and the NLP path is a plain penalty solve with [starts]
+    (default 12) multistart points.
     @raise Invalid_argument on malformed specs.
     @raise Pquery.Unsupported on properties outside the parametric
     fragment. *)

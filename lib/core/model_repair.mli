@@ -59,34 +59,28 @@ val repair :
   ?backend:Repair_backend.t ->
   ?solver:Nlp.method_ ->
   ?starts:int ->
-  ?seed:int ->
-  ?cost:(float array -> float) ->
-  ?force:bool ->
   ?fallback:bool ->
-  ?gap:float ->
   Dtmc.t ->
   Pctl.state_formula ->
   spec ->
   result
-(** [repair m φ spec]. With [force] the repair runs even when [m ⊨ φ]
-    already. The default [cost] is the squared L2 norm of the perturbation
-    vector (the Frobenius-norm cost of Eq. 1).  With [fallback] the NLP is
-    solved by {!Nlp.solve_with_fallback} — escalating augmented Lagrangian
-    → penalty → a wider multistart before conceding infeasibility; the
-    successful rung is recorded in [solver_rung].
+(** [repair m φ spec] checks [m] with {!Repair_backend.verify_original},
+    then builds {!parametric_model} and hands it, with the spec's
+    perturbed edges, to {!Repair_backend.solve}, which minimises the
+    squared L2 norm of the perturbation vector (the Frobenius-norm cost
+    of Eq. 1).
 
-    [backend] selects the solving substrate (default {!Repair_backend.t}
-    [Nlp_solver]).  Under [Region] the same constraint system is solved by
-    {!Region_repair.minimize} to the relative optimality [gap] (default
-    0.05) and the result carries a certificate; a custom [cost] degrades
-    the certificate to a trivial lower bound (only the default quadratic
-    cost has a sound box bound).  Under [Smc_prefilter] a seeded
-    {!Smc.sprt} pre-check runs before the exact initial verification —
-    see {!Repair_backend.smc_precheck} — and solving proceeds on the NLP
-    path.  [solver]/[starts]/[fallback] are NLP-path knobs; [gap] is a
-    region-path knob; both paths honour [seed], [cost] and [force].
+    [backend] selects the solving substrate (default [Nlp_solver]).
+    Under [Region] the result carries a global-optimality certificate to
+    a 5% gap.  Under [Smc_prefilter] a seeded SPRT pre-check may skip
+    the exact initial verification, and solving proceeds on the NLP
+    path.  [solver] (default [Penalty]), [starts] (default 12) and
+    [fallback] are NLP-path knobs: with [fallback] the NLP is solved by
+    {!Nlp.solve_with_fallback}, escalating augmented Lagrangian →
+    penalty → a wider multistart before conceding infeasibility, and
+    the successful rung is recorded in [solver_rung].
     @raise Invalid_argument on malformed specs (unknown edges, unbalanced
-    rows, duplicate variables).
+    rows, duplicate variables, no variables).
     @raise Pquery.Unsupported on properties outside the parametric
     fragment. *)
 

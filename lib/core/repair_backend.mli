@@ -27,22 +27,64 @@ val of_string : string -> (t, string) result
 val all : (string * t) list
 (** Slug/value pairs, for CLI enums. *)
 
-(** {1 The SMC pre-check} *)
+(** {1 The repair loop}
 
-type precheck =
-  | Sprt_accept of int  (** statistically satisfied, [n] samples *)
-  | Sprt_reject of int  (** statistically violated, [n] samples *)
-  | Fallthrough of string
-      (** the fast path could not run or could not decide — the payload
-          says why (non-[P] formula, bound too extreme, or
-          ["undecided after N samples"]) *)
+    Model Repair (§IV-A) and Data Repair (§IV-B) share one loop over a
+    parametric DTMC and differ only in how that DTMC is built: verify the
+    original model, eliminate φ to [f(v) ~ b], minimise the squared-L2
+    cost [Σ v²] over a box subject to [f(v) ~ b] (and [0 < P(s,d) < 1] on
+    perturbed edges), then instantiate the optimum and re-verify it.
+    This module runs that loop; {!Model_repair} and {!Data_repair} build
+    the parametric model and interpret the result. *)
 
-val smc_precheck : ?seed:int -> Dtmc.t -> Pctl.state_formula -> precheck
-(** Wald's SPRT at its default error levels, as a pre-filter: a
-    deterministic, seeded sampling pass that costs microseconds per
-    sample and no elimination.  [Sprt_accept] still needs an exact
-    confirmation before reporting "already satisfied" (the SPRT has
-    nonzero error probability); [Sprt_reject] just skips the exact check
-    and goes straight to repair, where an unnecessary repair would come
-    back with cost 0 anyway.  Emits a [region:smc-prefilter] trace event
-    with the outcome. *)
+val verify_original :
+  t -> Dtmc.t -> Pctl.state_formula -> Check_dtmc.verdict option
+(** Step 1: the exact check of the unrepaired model.  Under
+    [Smc_prefilter] a seeded SPRT ({!Smc.sprt} at its default error
+    levels) runs first and costs no elimination: a statistical reject
+    returns [None] and skips the exact check (a needless repair comes
+    back with cost 0 anyway), while an accept still gets the exact
+    confirmation (the SPRT has nonzero error probability), as does an
+    undecided or unsupported pre-check.  The outcome is counted in
+    [tml_smc_prefilter_total] and emitted as a [region:smc-prefilter]
+    trace event. *)
+
+type solved = {
+  point : float array;  (** the optimum, in [variables] order *)
+  cost : float;  (** [Σ v²] at [point] *)
+  rung : string;
+      (** what produced [point]: the {!Nlp.method_} name, the
+          {!Nlp.solve_with_fallback} rung label under [~fallback:true],
+          or ["region-bnb"] *)
+  certificate : Region_repair.certificate option;
+      (** present exactly under [Region] *)
+  query : Pquery.query;  (** the eliminated property [f(v) ~ b] *)
+  dtmc : Dtmc.t;  (** the parametric model instantiated at [point] *)
+  achieved_value : float;  (** [f(point)] *)
+  verified : bool;  (** numeric re-check of [dtmc ⊨ φ] *)
+}
+
+val solve :
+  t ->
+  ?solver:Nlp.method_ ->
+  ?fallback:bool ->
+  starts:int ->
+  variables:(string * float * float) list ->
+  edges:(int * int) list ->
+  Pdtmc.t ->
+  Pctl.state_formula ->
+  (solved, float) result
+(** Steps 2–4 on the parametric model: eliminate φ, solve the NLP over
+    the [variables] box [(name, lo, hi)] (a zero-width box pins a
+    variable), and re-verify the optimum.  Each edge in [edges] must
+    exist in the model and gains the constraint [0 < P(s,d) < 1].
+
+    [Nlp_solver] and [Smc_prefilter] solve by {!Nlp.solve} with [solver]
+    (default [Penalty]) and [starts] multistart points, or by
+    {!Nlp.solve_with_fallback} with [fallback]; [Region] solves by
+    {!Region_repair.minimize} to its default 5% optimality gap.
+    [Error v] means no feasible point was found: [v] is the NLP's least
+    constraint violation, or under [Region] how far the property bound
+    lies outside the interval bound of [f] over the whole box.
+    @raise Pquery.Unsupported on properties outside the parametric
+    fragment. *)

@@ -260,8 +260,7 @@ let exact_gap_fn ev c =
 
 let exact_gap ev theta c = exact_gap_fn ev c theta
 
-let repair_q ?(gamma = 0.9) ?(starts = 8) ?(seed = 0) ?(force = false) m
-    ~theta ~constraints =
+let repair_q ?(gamma = 0.9) ?(starts = 8) m ~theta ~constraints =
   check_discount gamma;
   if Mdp.feature_dim m = 0 then
     invalid_arg "Reward_repair.repair_q: MDP has no features";
@@ -274,7 +273,7 @@ let repair_q ?(gamma = 0.9) ?(starts = 8) ?(seed = 0) ?(force = false) m
     let q = q_table ~gamma m th in
     List.for_all (fun c -> gap_of q c >= c.margin) constraints
   in
-  if satisfied theta && not force then Already_satisfied
+  if satisfied theta then Already_satisfied
   else begin
     (* variables = Δθ; constraint violation = margin − gap(θ+Δθ) *)
     let theta_plus dx = Array.mapi (fun i v -> v +. dx.(i)) theta in
@@ -299,7 +298,7 @@ let repair_q ?(gamma = 0.9) ?(starts = 8) ?(seed = 0) ?(force = false) m
         ~upper:(Array.make k 2.0)
         ()
     in
-    match Instr.time Instr.Solve (fun () -> Nlp.solve ~starts ~seed problem) with
+    match Instr.time Instr.Solve (fun () -> Nlp.solve ~starts problem) with
     | Nlp.Infeasible s -> Infeasible { min_violation = s.Nlp.max_violation }
     | Nlp.Feasible s ->
       let delta = s.Nlp.x in

@@ -69,14 +69,14 @@ type result =
 val repair_q :
   ?gamma:float ->
   ?starts:int ->
-  ?seed:int ->
-  ?force:bool ->
   Mdp.t ->
   theta:float array ->
   constraints:q_constraint list ->
   result
-(** The NLP search evaluates each constraint's gap with an exact
-    Q* evaluator ({!gap_evaluator}) built for this call.  The
+(** [gamma] defaults to 0.9; the NLP is a seed-0 multistart over
+    [starts] (default 8) points.  The NLP search evaluates each
+    constraint's gap with an exact Q* evaluator ({!gap_evaluator}) built
+    for this call.  The
     [Already_satisfied] pre-check and the final [policy], [q_gaps] and
     [verified] come from value iteration, one Q-table per θ.
     @raise Invalid_argument on unknown states/actions, an MDP without

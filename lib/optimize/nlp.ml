@@ -36,10 +36,10 @@ let clamp p x =
 let violations p x =
   List.map (fun (name, g) -> (name, Float.max 0.0 (g x))) p.inequalities
 
-let max_violation p x =
-  List.fold_left (fun acc (_, v) -> Float.max acc v) 0.0 (violations p x)
+let feas_tol = 1e-7
 
-let is_feasible ?(feas_tol = 1e-7) p x = max_violation p x <= feas_tol
+(* Nelder-Mead iteration budget of each inner minimisation *)
+let max_iter = 4000
 
 let guard v = if Float.is_nan v then infinity else v
 
@@ -54,7 +54,7 @@ let clamp_into p dst y =
   done
 
 (* One penalty pass: escalate μ, warm-starting each round. *)
-let solve_penalty ~max_iter p x0 =
+let solve_penalty p x0 =
   let x = ref (clamp p x0) in
   let mus = [ 1.0; 10.0; 100.0; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8 ] in
   let scratch = Array.make p.dim 0.0 in
@@ -78,7 +78,7 @@ let solve_penalty ~max_iter p x0 =
   !x
 
 (* Augmented Lagrangian with multiplier updates. *)
-let solve_auglag ~max_iter p x0 =
+let solve_auglag p x0 =
   let k = List.length p.inequalities in
   let lambda = Array.make k 0.0 in
   let mu = ref 10.0 in
@@ -122,7 +122,7 @@ let start_points ~starts ~seed p =
    installed fault plan) becomes +inf, so it can never win a
    best-candidate fold — NaN comparisons are all false and would
    otherwise poison the folds below. *)
-let mk_solution ~feas_tol p x =
+let mk_solution p x =
   let vs = List.map (fun (name, v) -> (name, guard v)) (violations p x) in
   {
     x;
@@ -131,17 +131,16 @@ let mk_solution ~feas_tol p x =
     violated = List.filter (fun (_, v) -> v > feas_tol) vs;
   }
 
-let solve ?(method_ = Penalty) ?(starts = 12) ?(seed = 0) ?(feas_tol = 1e-7)
-    ?(max_iter = 4000) p =
+let solve ?(method_ = Penalty) ?(starts = 12) ?(seed = 0) p =
   if starts < 1 then invalid_arg "Nlp.solve: starts must be >= 1";
   let p = { p with objective = (fun x -> Fault.corrupt Fault.Solve (p.objective x)) } in
   let run =
     match method_ with
-    | Penalty -> solve_penalty ~max_iter p
-    | Augmented_lagrangian -> solve_auglag ~max_iter p
+    | Penalty -> solve_penalty p
+    | Augmented_lagrangian -> solve_auglag p
   in
   let candidates = List.map run (start_points ~starts ~seed p) in
-  let solutions = List.map (mk_solution ~feas_tol p) candidates in
+  let solutions = List.map (mk_solution p) candidates in
   let feasible = List.filter (fun s -> s.max_violation <= feas_tol) solutions in
   let diverged best =
     (* every candidate was NaN-guarded to +inf: the solver saw no finite
@@ -178,35 +177,24 @@ let solve ?(method_ = Penalty) ?(starts = 12) ?(seed = 0) ?(feas_tol = 1e-7)
 
 (* --------------------------- fallback ladder --------------------------- *)
 
-type rung = { rung_label : string; rung_method : method_; rung_starts : int }
-
-let default_rungs ~starts =
+(* (label, method, starts multiplier), tried in order *)
+let ladder =
   [
-    { rung_label = "augmented-lagrangian"; rung_method = Augmented_lagrangian;
-      rung_starts = starts };
-    { rung_label = "penalty"; rung_method = Penalty; rung_starts = starts };
-    { rung_label = "penalty-wide"; rung_method = Penalty;
-      rung_starts = 3 * starts };
+    ("augmented-lagrangian", Augmented_lagrangian, 1);
+    ("penalty", Penalty, 1);
+    ("penalty-wide", Penalty, 3);
   ]
 
 let rung_counter =
   Metrics.counter "tml_nlp_rungs_total"
     ~help:"NLP fallback-ladder rungs attempted"
 
-let solve_with_fallback ?rungs ?(starts = 12) ?(seed = 0) ?(feas_tol = 1e-7)
-    ?(max_iter = 4000) p =
-  let rungs = match rungs with Some r -> r | None -> default_rungs ~starts in
-  if rungs = [] then invalid_arg "Nlp.solve_with_fallback: empty ladder";
-  let attempt rung =
+let solve_with_fallback ?(starts = 12) ?(seed = 0) p =
+  let attempt (label, method_, mult) =
+    let starts = mult * starts in
     Trace_span.with_span "nlp:rung"
-      ~attrs:
-        [
-          ("rung", rung.rung_label);
-          ("starts", string_of_int rung.rung_starts);
-        ]
-      (fun () ->
-         solve ~method_:rung.rung_method ~starts:rung.rung_starts ~seed
-           ~feas_tol ~max_iter p)
+      ~attrs:[ ("rung", label); ("starts", string_of_int starts) ]
+      (fun () -> solve ~method_ ~starts ~seed p)
   in
   let rec go best_infeasible transient_failure = function
     | [] -> (
@@ -216,20 +204,20 @@ let solve_with_fallback ?rungs ?(starts = 12) ?(seed = 0) ?(feas_tol = 1e-7)
         | Some (s, label), _ -> (Infeasible s, label)
         | None, Some e -> raise e
         | None, None -> assert false)
-    | rung :: rest -> (
+    | ((label, _, _) as rung) :: rest -> (
         Metrics.incr rung_counter;
         match attempt rung with
-        | Feasible s -> (Feasible s, rung.rung_label)
+        | Feasible s -> (Feasible s, label)
         | Infeasible s ->
           let best =
             match best_infeasible with
             | Some (b, _) when b.max_violation <= s.max_violation ->
               best_infeasible
-            | _ -> Some (s, rung.rung_label)
+            | _ -> Some (s, label)
           in
           go best transient_failure rest
         | exception (Tml_error.Error k as e)
           when Tml_error.severity k = Tml_error.Transient ->
           go best_infeasible (Some e) rest)
   in
-  go None None rungs
+  go None None ladder

@@ -45,15 +45,9 @@ type outcome =
 
 type method_ = Penalty | Augmented_lagrangian
 
-val solve :
-  ?method_:method_ ->
-  ?starts:int ->
-  ?seed:int ->
-  ?feas_tol:float ->
-  ?max_iter:int ->
-  problem ->
-  outcome
-(** Multistart (default 12 starts, seed 0, feasibility tolerance 1e-7).
+val solve : ?method_:method_ -> ?starts:int -> ?seed:int -> problem -> outcome
+(** Multistart (default 12 starts, seed 0, feasibility tolerance 1e-7,
+    4000 Nelder–Mead iterations per inner minimisation).
     The starts run one after another on the calling domain, never fanned
     out: the objective and constraints are usually arena-compiled
     programs that keep their evaluation scratch inside themselves, so
@@ -66,31 +60,18 @@ val solve :
     produced a finite evaluation — a transient failure the runtime's
     retry layer may re-run. *)
 
-type rung = { rung_label : string; rung_method : method_; rung_starts : int }
-(** One rung of the graceful-degradation ladder of
-    {!solve_with_fallback}. *)
-
-val default_rungs : starts:int -> rung list
-(** Augmented Lagrangian, then penalty, then penalty with [3×starts] —
-    the escalation order suggested by "Model Repair Revamped": try the
-    sharper method first, fall back to the more robust one, then widen
-    the multistart before conceding infeasibility. *)
-
 val solve_with_fallback :
-  ?rungs:rung list ->
-  ?starts:int ->
-  ?seed:int ->
-  ?feas_tol:float ->
-  ?max_iter:int ->
-  problem ->
-  outcome * string
-(** Try each rung in order, returning the first feasible solution with
-    the label of the rung that produced it.  A rung runs only if every
-    earlier rung was infeasible or failed transiently; each attempt
-    counts once in [tml_nlp_rungs_total] and records an [nlp:rung] span.  If no rung is feasible, the
+  ?starts:int -> ?seed:int -> problem -> outcome * string
+(** The graceful-degradation ladder: augmented Lagrangian, then penalty,
+    then penalty with [3×starts] (rung labels ["augmented-lagrangian"],
+    ["penalty"], ["penalty-wide"]) — the escalation order suggested by
+    "Model Repair Revamped": try the sharper method first, fall back to
+    the more robust one, then widen the multistart before conceding
+    infeasibility.  Tries each rung in order, returning the first
+    feasible solution with the label of the rung that produced it.  A
+    rung runs only if every earlier rung was infeasible or failed
+    transiently; each attempt counts once in [tml_nlp_rungs_total] and
+    records an [nlp:rung] span.  If no rung is feasible, the
     least-violating infeasible point across all rungs is returned (with
     its rung's label); transient non-convergence of individual rungs is
     tolerated as long as some rung converges, and re-raised otherwise. *)
-
-val max_violation : problem -> float array -> float
-val is_feasible : ?feas_tol:float -> problem -> float array -> bool

@@ -1,23 +1,17 @@
-type cost = {
-  point : float array -> float;
-  box_lower : Box.t -> float;
-  box_argmin : Box.t -> float array;
-}
+(* The paper's squared-L2 perturbation cost, with its exact box lower
+   bound and box argmin (per-dimension clamp of 0 into the box), so the
+   certificate gap is tight. *)
+let cost_at x = Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 x
 
-let quadratic =
-  {
-    point = (fun x -> Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 x);
-    box_lower =
-      (fun b ->
-         let s = ref 0.0 in
-         for i = 0 to Box.dim b - 1 do
-           let lo = Box.lo b i and hi = Box.hi b i in
-           if lo > 0.0 || hi < 0.0 then
-             s := !s +. Float.min (lo *. lo) (hi *. hi)
-         done;
-         !s);
-    box_argmin = (fun b -> Box.clamp b (Array.make (Box.dim b) 0.0));
-  }
+let box_lower b =
+  let s = ref 0.0 in
+  for i = 0 to Box.dim b - 1 do
+    let lo = Box.lo b i and hi = Box.hi b i in
+    if lo > 0.0 || hi < 0.0 then s := !s +. Float.min (lo *. lo) (hi *. hi)
+  done;
+  !s
+
+let box_argmin b = Box.clamp b (Array.make (Box.dim b) 0.0)
 
 type settings = { gap : float; max_regions : int; min_width : float }
 
@@ -43,8 +37,7 @@ let incumbents_counter =
     (Metrics.counter ~help:"Incumbent improvements in certified repair"
        "tml_region_repair_incumbents_total")
 
-let minimize ?(settings = default_settings) ?(cost = quadratic) ~constraints
-    root =
+let minimize ?(settings = default_settings) ~constraints root =
   Trace_span.with_span "region.repair"
     ~attrs:[ ("box", Box.to_string root) ]
   @@ fun () ->
@@ -58,7 +51,7 @@ let minimize ?(settings = default_settings) ?(cost = quadratic) ~constraints
       !m
   in
   let queue = Region_heap.create () in
-  Region_heap.push queue (cost.box_lower root) (root, 1.0);
+  Region_heap.push queue (box_lower root) (root, 1.0);
   let incumbent = ref None in
   let inc_cost () =
     match !incumbent with Some (c, _) -> c | None -> infinity
@@ -72,7 +65,7 @@ let minimize ?(settings = default_settings) ?(cost = quadratic) ~constraints
   let note_lb lb = if lb < !lb_floor then lb_floor := lb in
   let explored = ref 0 in
   let improve p =
-    let c = cost.point p in
+    let c = cost_at p in
     if c < inc_cost () then begin
       incumbent := Some (c, p);
       Metrics.incr (Lazy.force incumbents_counter)
@@ -104,11 +97,11 @@ let minimize ?(settings = default_settings) ?(cost = quadratic) ~constraints
         match Region_verify.classify constraints box with
         | Region_verify.Accept ->
           accept := !accept +. m;
-          note_lb (cost.box_lower box);
-          improve (cost.box_argmin box)
+          note_lb (box_lower box);
+          improve (box_argmin box)
         | Region_verify.Reject -> reject := !reject +. m
         | Region_verify.Unknown ->
-          let p = cost.box_argmin box in
+          let p = box_argmin box in
           if Region_verify.point_feasible constraints p then improve p
           else begin
             let c = Box.center box in
@@ -121,8 +114,8 @@ let minimize ?(settings = default_settings) ?(cost = quadratic) ~constraints
           end
           else begin
             let a, b = Box.bisect box i in
-            Region_heap.push queue (cost.box_lower a) (a, measure a);
-            Region_heap.push queue (cost.box_lower b) (b, measure b)
+            Region_heap.push queue (box_lower a) (a, measure a);
+            Region_heap.push queue (box_lower b) (b, measure b)
           end
       end
   done;

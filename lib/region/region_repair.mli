@@ -1,5 +1,6 @@
-(** Certified repair: global minimisation of a perturbation cost over the
-    accept-region of a parameter box, to a user-set optimality gap.
+(** Certified repair: global minimisation of the squared-L2 perturbation
+    cost over the accept-region of a parameter box, to a set optimality
+    gap.
 
     Where the NLP backend returns a local optimum with no guarantee, this
     loop runs best-first branch-and-bound on the cost's box lower bound:
@@ -10,21 +11,6 @@
     certificate: the incumbent cost, a sound lower bound on the true
     feasible optimum, the relative gap between them, and the volume
     fraction decided (accepted + rejected + pruned within the gap). *)
-
-type cost = {
-  point : float array -> float;
-  box_lower : Box.t -> float;
-      (** sound lower bound of the cost over a box — the search key and
-          the certificate's foundation *)
-  box_argmin : Box.t -> float array;
-      (** the box's cost-minimising point (may be heuristic for custom
-          costs; must lie inside the box) *)
-}
-
-val quadratic : cost
-(** The paper's squared-L2 perturbation cost.  [box_lower] and
-    [box_argmin] are exact (per-dimension clamp of 0 into the box), so the
-    certificate gap is tight for this cost. *)
 
 type settings = {
   gap : float;  (** relative optimality gap to certify (default 0.05) *)
@@ -58,13 +44,16 @@ type repaired = {
 
 val minimize :
   ?settings:settings ->
-  ?cost:cost ->
   constraints:Region_verify.constr list ->
   Box.t ->
   repaired
-(** [minimize ~constraints box] — the returned point satisfies every
-    constraint with its interior margin, and no feasible point in [box]
-    beats it by more than the certified gap.
+(** [minimize ~constraints box] minimises the paper's squared-L2
+    perturbation cost [Σ x²] over the accept set of [constraints] in
+    [box].  The cost's box lower bound and box argmin are exact (a
+    per-dimension clamp of 0 into the box), so the certified gap is
+    tight.  The returned point satisfies every constraint with its
+    interior margin, and no feasible point in [box] beats it by more
+    than the certified gap.
     @raise Tml_error.Error with [Empty_feasible_box] when the accept set
     is proven empty (the whole box rejects) or no feasible point was found
     within the region budget — the typed permanent error for "Model Repair

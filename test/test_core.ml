@@ -185,6 +185,70 @@ let test_data_repair_spec_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unknown pinned group accepted"
 
+(* ---------------- Backend x repair-kind matrix ---------------- *)
+
+(* Both repairs run the same loop (Repair_backend.solve); each backend
+   must repair the feasible 3-state input, certify exactly under [Region],
+   match the NLP's cost under [Smc_prefilter], and report the analytic
+   gap on the infeasible input. *)
+let check_backend backend ~nlp_cost ~verified ~cost certificate =
+  Alcotest.(check bool) "verified" true verified;
+  (match (backend, certificate) with
+   | Repair_backend.Region, Some c ->
+     Alcotest.(check bool) "certified gap <= 5%" true
+       (c.Region_repair.optimality_gap <= 0.05)
+   | Repair_backend.Region, None -> Alcotest.fail "region repair uncertified"
+   | (Repair_backend.Nlp_solver | Repair_backend.Smc_prefilter), Some _ ->
+     Alcotest.fail "certificate off the region backend"
+   | (Repair_backend.Nlp_solver | Repair_backend.Smc_prefilter), None -> ());
+  if backend = Repair_backend.Smc_prefilter then
+    Alcotest.(check (float 0.0)) "same cost as nlp" (nlp_cost ()) cost
+
+let test_model_repair_backend backend () =
+  let d = branch () and phi = parse "P>=0.5 [ F goal ]" in
+  let repaired backend =
+    match MR.repair ~backend d phi (branch_spec ()) with
+    | MR.Repaired r -> r
+    | _ -> Alcotest.fail "expected Repaired"
+  in
+  let r = repaired backend in
+  check_backend backend
+    ~nlp_cost:(fun () -> (repaired Repair_backend.Nlp_solver).MR.cost)
+    ~verified:r.MR.verified ~cost:r.MR.cost r.MR.certificate;
+  (* v <= 0.1 lifts P(F goal) to at most 0.4: 0.1 short of the bound *)
+  match MR.repair ~backend d phi (branch_spec ~hi:0.1 ()) with
+  | MR.Infeasible { min_violation } ->
+    Alcotest.(check (float 1e-5)) "min_violation" 0.1 min_violation
+  | _ -> Alcotest.fail "expected Infeasible"
+
+let test_data_repair_backend backend () =
+  let repair backend pinned =
+    DR.repair ~n:3 ~init:0
+      ~labels:[ ("goal", [ 1 ]) ]
+      ~backend
+      (parse "P>=0.5 [ F goal ]")
+      (DR.spec ~pinned
+         [ ("good", biased_traces ~good:30 ~bad:0);
+           ("bad", biased_traces ~good:0 ~bad:70);
+         ])
+  in
+  let repaired backend =
+    match repair backend [ "good" ] with
+    | DR.Repaired r -> r
+    | _ -> Alcotest.fail "expected Repaired"
+  in
+  let r = repaired backend in
+  Alcotest.(check (float 0.0)) "pinned group kept" 0.0
+    (List.assoc "good" r.DR.drop_fractions);
+  check_backend backend
+    ~nlp_cost:(fun () -> (repaired Repair_backend.Nlp_solver).DR.cost)
+    ~verified:r.DR.verified ~cost:r.DR.cost r.DR.certificate;
+  (* all pinned: the learned 0.3 is 0.2 short of the bound *)
+  match repair backend [ "good"; "bad" ] with
+  | DR.Infeasible { min_violation } ->
+    Alcotest.(check (float 1e-5)) "min_violation" 0.2 min_violation
+  | _ -> Alcotest.fail "expected Infeasible"
+
 (* ---------------- Reward repair ---------------- *)
 
 (* Two-path MDP with features: risky path passes a bad state. *)
@@ -530,6 +594,15 @@ let () =
           Alcotest.test_case "infeasible" `Quick test_data_repair_infeasible;
           Alcotest.test_case "spec validation" `Quick test_data_repair_spec_validation;
         ] );
+      ( "backends",
+        List.concat_map
+          (fun (slug, backend) ->
+             [ Alcotest.test_case ("model repair, " ^ slug) `Quick
+                 (test_model_repair_backend backend);
+               Alcotest.test_case ("data repair, " ^ slug) `Quick
+                 (test_data_repair_backend backend);
+             ])
+          Repair_backend.all );
       ( "reward repair",
         [ Alcotest.test_case "q-constraint repair" `Quick test_reward_repair_q;
           Alcotest.test_case "already satisfied" `Quick test_reward_repair_already;

@@ -149,7 +149,7 @@ let test_wsn_repair_vs_nlp () =
   let spec = Wsn.repair_spec params in
   let gap = 0.05 in
   let region =
-    match Model_repair.repair ~backend:Repair_backend.Region ~gap chain phi spec with
+    match Model_repair.repair ~backend:Repair_backend.Region chain phi spec with
     | Model_repair.Repaired r -> r
     | _ -> Alcotest.fail "region backend must repair WSN n=2"
   in
@@ -224,7 +224,7 @@ let test_car_repair_vs_nlp () =
   let gap = 0.05 in
   let region =
     match
-      Model_repair.repair ~backend:Repair_backend.Region ~gap chain
+      Model_repair.repair ~backend:Repair_backend.Region chain
         car_property car_spec
     with
     | Model_repair.Repaired r -> r
