@@ -325,7 +325,7 @@ let region_benches =
 
 (* Symbolic-kernel section: the exact-arithmetic layers behind state
    elimination — interned monomials, the small-rational fast path,
-   Karatsuba bigint multiplication and the arena evaluator.  Together
+   Karatsuba bigint multiplication and the arena compiler and evaluator.  Together
    with the e2/e4 experiment benches these form the tracked set that
    `--perf-check` gates against bench/results/baseline.json. *)
 
@@ -349,6 +349,11 @@ let symbolic_kernel_benches =
            (List.map (fun v -> if v = "fail_other" then 0.3 else 0.1) vars)
        in
        (Pquery.compile_violation q ~vars, x))
+  in
+  let e2_value =
+    lazy
+      (Pquery.of_formula (Lazy.force wsn_parametric) (Wsn.property 40))
+        .Pquery.value
   in
   let e4_grad =
     lazy
@@ -380,6 +385,9 @@ let symbolic_kernel_benches =
     Test.make ~name:"symbolic/poly pow (x+y+1)^8"
       (let base = Poly.(var "x" + var "y" + one) in
        Staged.stage (fun () -> Poly.pow base 8));
+    Test.make ~name:"symbolic/arena compile (wsn n=3 reward f(p,q))"
+      (Staged.stage (fun () ->
+           Arena.compile ~vars:[ "p"; "q" ] (Lazy.force e2_value)));
     Test.make ~name:"symbolic/arena violation eval (e4)"
       (Staged.stage (fun () ->
            let f, x = Lazy.force e4_violation in

@@ -110,19 +110,35 @@ let solve_region ~variables ~vars ~edge_exprs query =
        | Pctl.Ge | Pctl.Gt ->
          Float.max 0.0 (query.Pquery.bound -. iv.Interval.hi))
 
+(* Slack between an edge's box enclosure and its margins: the enclosure
+   is not rounded outward, and the point evaluation divides where the
+   interval one multiplies by a reciprocal. *)
+let certify_slack = 1e-6
+
 (* NLP path (Eqs. 4-6): every constraint is arena-compiled against the
    variable order, so the optimizer's inner loop evaluates flat float
-   programs indexed by position. *)
+   programs indexed by position.  An edge whose value over the whole box
+   lies inside [edge_margin, 1 - edge_margin] (with slack) contributes no
+   constraint: Nlp clamps every point it evaluates into the box, so both
+   of its terms would read [max 0 g = 0] at every point, add nothing to
+   either penalty and keep a zero multiplier. *)
 let solve_nlp ~solver ~fallback ~starts ~variables ~vars ~edge_exprs query =
+  let lower = Array.of_list (List.map (fun (_, lo, _) -> lo) variables) in
+  let upper = Array.of_list (List.map (fun (_, _, hi) -> hi) variables) in
   let edge_constraints =
     List.concat_map
       (fun (s, d, f) ->
          let a = Arena.compile ~vars f in
-         [ ( Printf.sprintf "edge_%d_%d_pos" s d,
-             fun x -> edge_margin -. Arena.eval a x );
-           ( Printf.sprintf "edge_%d_%d_lt1" s d,
-             fun x -> Arena.eval a x -. 1.0 +. edge_margin );
-         ])
+         let lo, hi = Arena.eval_interval a lower upper in
+         if lo >= edge_margin +. certify_slack
+            && hi <= 1.0 -. edge_margin -. certify_slack
+         then []
+         else
+           [ ( Printf.sprintf "edge_%d_%d_pos" s d,
+               fun x -> edge_margin -. Arena.eval a x );
+             ( Printf.sprintf "edge_%d_%d_lt1" s d,
+               fun x -> Arena.eval a x -. 1.0 +. edge_margin );
+           ])
       edge_exprs
   in
   let property_constraint =
@@ -132,9 +148,7 @@ let solve_nlp ~solver ~fallback ~starts ~variables ~vars ~edge_exprs query =
   let problem =
     Nlp.problem ~dim:(List.length vars) ~objective:squared_l2
       ~inequalities:(property_constraint :: edge_constraints)
-      ~lower:(Array.of_list (List.map (fun (_, lo, _) -> lo) variables))
-      ~upper:(Array.of_list (List.map (fun (_, _, hi) -> hi) variables))
-      ()
+      ~lower ~upper ()
   in
   match
     Instr.time Instr.Solve (fun () ->

@@ -31,26 +31,49 @@ let minimize ?(max_iter = 5000) ?(tol = 1e-12) ?(initial_step = 0.1) f x0 =
   in
   let simplex = Array.init (n + 1) vertex in
   let values = Array.map f simplex in
+  (* Work buffers, allocated once: the sort's index array and the
+     permutation targets, the centroid, and two spare vertices that trade
+     places with the worst vertex when a trial point is accepted. *)
+  let idx = Array.make (n + 1) 0 in
+  let s2 = Array.make (n + 1) simplex.(0) in
+  let v2 = Array.make (n + 1) 0.0 in
+  let c = Array.make n 0.0 in
+  let trial = ref (Array.make n 0.0) in
+  let spare = ref (Array.make n 0.0) in
+  let by_value i j = Float.compare values.(i) values.(j) in
   let order () =
-    let idx = Array.init (n + 1) Fun.id in
-    Array.sort (fun i j -> Float.compare values.(i) values.(j)) idx;
-    let s2 = Array.map (fun i -> simplex.(i)) idx in
-    let v2 = Array.map (fun i -> values.(i)) idx in
+    for i = 0 to n do
+      idx.(i) <- i
+    done;
+    Array.sort by_value idx;
+    for k = 0 to n do
+      s2.(k) <- simplex.(idx.(k));
+      v2.(k) <- values.(idx.(k))
+    done;
     Array.blit s2 0 simplex 0 (n + 1);
     Array.blit v2 0 values 0 (n + 1)
   in
   let centroid () =
     (* of all but the worst vertex *)
-    let c = Array.make n 0.0 in
+    Array.fill c 0 n 0.0;
     for i = 0 to n - 1 do
       for j = 0 to n - 1 do
         c.(j) <- c.(j) +. (simplex.(i).(j) /. float_of_int n)
       done
-    done;
-    c
+    done
   in
-  let combine c w coeff =
-    Array.init n (fun j -> c.(j) +. (coeff *. (c.(j) -. w.(j))))
+  let combine dst w coeff =
+    for j = 0 to n - 1 do
+      dst.(j) <- c.(j) +. (coeff *. (c.(j) -. w.(j)))
+    done
+  in
+  (* make the buffer in [r] the worst vertex; the old worst becomes the
+     buffer *)
+  let accept r fv =
+    let old = simplex.(n) in
+    simplex.(n) <- !r;
+    values.(n) <- fv;
+    r := old
   in
   let iter = ref 0 in
   let converged = ref false in
@@ -66,45 +89,32 @@ let minimize ?(max_iter = 5000) ?(tol = 1e-12) ?(initial_step = 0.1) f x0 =
     in
     if spread < tol && size < sqrt tol then converged := true
     else begin
-      let c = centroid () in
+      centroid ();
       let worst = simplex.(n) in
-      let xr = combine c worst alpha in
-      let fr = f xr in
+      combine !trial worst alpha;
+      let fr = f !trial in
       if fr < values.(0) then begin
         (* try expansion *)
-        let xe = combine c worst gamma in
-        let fe = f xe in
-        if fe < fr then begin
-          simplex.(n) <- xe;
-          values.(n) <- fe
-        end
-        else begin
-          simplex.(n) <- xr;
-          values.(n) <- fr
-        end
+        combine !spare worst gamma;
+        let fe = f !spare in
+        if fe < fr then accept spare fe else accept trial fr
       end
-      else if fr < values.(n - 1) then begin
-        simplex.(n) <- xr;
-        values.(n) <- fr
-      end
+      else if fr < values.(n - 1) then accept trial fr
       else begin
         (* contraction (outside if fr better than worst, else inside) *)
-        let xc =
-          if fr < values.(n) then combine c worst (alpha *. rho)
-          else combine c worst (-.rho)
-        in
-        let fc = f xc in
-        if fc < Float.min fr values.(n) then begin
-          simplex.(n) <- xc;
-          values.(n) <- fc
-        end
+        if fr < values.(n) then combine !spare worst (alpha *. rho)
+        else combine !spare worst (-.rho);
+        let fc = f !spare in
+        if fc < Float.min fr values.(n) then accept spare fc
         else begin
-          (* shrink toward the best vertex *)
+          (* shrink toward the best vertex, in place *)
+          let best = simplex.(0) in
           for i = 1 to n do
-            simplex.(i) <-
-              Array.init n (fun j ->
-                  simplex.(0).(j) +. (sigma *. (simplex.(i).(j) -. simplex.(0).(j))));
-            values.(i) <- f simplex.(i)
+            let v = simplex.(i) in
+            for j = 0 to n - 1 do
+              v.(j) <- best.(j) +. (sigma *. (v.(j) -. best.(j)))
+            done;
+            values.(i) <- f v
           done
         end
       end;

@@ -18,5 +18,9 @@ val minimize :
   result
 (** [minimize f x0] from the given start point; the initial simplex places
     one vertex at [x0] and perturbs each coordinate by [initial_step]
-    (default 0.1, scaled up for large coordinates).
+    (default 0.1, scaled up for large coordinates).  The loop allocates
+    nothing per iteration: trial points and shrunk vertices are written
+    into buffers owned by the call, so [f] may read its argument but must
+    not retain it or mutate it — the array is overwritten by later
+    steps.
     @raise Invalid_argument on an empty start point. *)

@@ -2,12 +2,13 @@
 
    A polynomial is lowered to a postfix program over a float stack with two
    instructions: push a constant, or combine the top n+1 values with one
-   variable by Horner's rule.  The lowering is the derivative-slice
-   decomposition  p = Σ_e slice_e(rest) · x^e  with
-   slice_e = ((d/dx)^e p)|_{x=0} / e!, applied recursively over the
-   variable list — a univariate polynomial compiles to one dense Horner
-   chain, a multivariate one to nested chains.  Rational-function division
-   happens once at the end of an evaluation. *)
+   variable by Horner's rule.  The lowering is the coefficient
+   decomposition  p = Σ_e slice_e(rest) · x^e, where slice_e collects the
+   terms of p with x-exponent e (Poly.coeffs_in, one pass over the terms),
+   applied recursively over the variable list — a univariate polynomial
+   compiles to one dense Horner chain, a multivariate one to nested
+   chains.  Rational-function division happens once at the end of an
+   evaluation. *)
 
 module P = Poly
 module Q = Ratio
@@ -39,17 +40,11 @@ let compile_poly order p =
         (* every variable of p was in [order]; checked by [compile] *)
         assert false
       | (vi, v) :: rest ->
-        let d = P.degree_in v p in
+        let slices = P.coeffs_in v p in
+        let d = Array.length slices - 1 in
         if d = 0 then go rest p
         else begin
-          let deriv = ref p in
-          let fact = ref Q.one in
-          for e = 0 to d do
-            if e >= 2 then fact := Q.mul !fact (Q.of_int e);
-            let slice = P.scale (Q.inv !fact) (P.subst v P.zero !deriv) in
-            go rest slice;
-            if e < d then deriv := P.derivative v !deriv
-          done;
+          Array.iter (go rest) slices;
           emit (Horner { vi; n = d })
         end)
   in

@@ -512,6 +512,22 @@ let derivative x (p : t) : t =
            add_term m' (Q.mul c (Q.of_int e)) acc)
       p zero
 
+(* One pass over the terms: each monomial goes to the bucket of its
+   exponent of [x], with [x] removed.  A term without [x] keeps its
+   monomial as is ([Mono.with_exp] requires the variable to be present). *)
+let coeffs_in x (p : t) : t array =
+  match Symtab.find_opt x with
+  | None -> [| p |]
+  | Some id ->
+    let slices = Array.make (Stdlib.( + ) (degree_in x p) 1) zero in
+    Mmap.iter
+      (fun m c ->
+         match Mono.degree_in id m with
+         | 0 -> slices.(0) <- add_term m c slices.(0)
+         | e -> slices.(e) <- add_term (Mono.with_exp id 0 m) c slices.(e))
+      p;
+    slices
+
 let to_univariate_opt (p : t) =
   match Iset.elements (var_ids p) with
   | [] -> Some ("", [| coeff_of_const p |])

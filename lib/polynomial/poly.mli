@@ -67,6 +67,12 @@ val subst : string -> t -> t -> t
 
 val derivative : string -> t -> t
 
+val coeffs_in : string -> t -> t array
+(** [coeffs_in x p] is [p] as a polynomial in [x] over the other
+    variables: slot [e] holds the coefficient of [x^e], so
+    [p = Σ_e (coeffs_in x p).(e) · x^e].  The array has
+    [degree_in x p + 1] slots; absent powers are {!zero}. *)
+
 (** {1 Univariate view} *)
 
 val to_univariate_opt : t -> (string * Ratio.t array) option

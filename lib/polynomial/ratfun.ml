@@ -190,22 +190,17 @@ let subst x r f =
   if dn = 0 then f
   else begin
     (* Write p = Σ_e p_e x^e with p_e free of x; then p(x := rn/rd) · rd^dn
-       = Σ_e p_e rn^e rd^(dn-e), a polynomial again.  The coefficient slice
-       p_e is extracted as (d/dx)^e p |_{x=0} / e!. *)
+       = Σ_e p_e rn^e rd^(dn-e), a polynomial again. *)
     let expand (p : P.t) : P.t =
       let result = ref P.zero in
-      let fact = ref Q.one in
-      let deriv = ref p in
-      for e = 0 to dn do
-        if Stdlib.( >= ) e 2 then fact := Q.mul !fact (Q.of_int e);
-        let slice = P.scale (Q.inv !fact) (P.subst x P.zero !deriv) in
-        if not (P.is_zero slice) then
-          result :=
-            P.add !result
-              (P.mul slice
-                 (P.mul (P.pow r.num e) (P.pow r.den Stdlib.(dn - e))));
-        deriv := P.derivative x !deriv
-      done;
+      Array.iteri
+        (fun e slice ->
+           if not (P.is_zero slice) then
+             result :=
+               P.add !result
+                 (P.mul slice
+                    (P.mul (P.pow r.num e) (P.pow r.den Stdlib.(dn - e)))))
+        (P.coeffs_in x p);
       !result
     in
     normalize (expand f.num) (expand f.den)

@@ -13,9 +13,11 @@ let box_lower b =
 
 let box_argmin b = Box.clamp b (Array.make (Box.dim b) 0.0)
 
-type settings = { gap : float; max_regions : int; min_width : float }
-
-let default_settings = { gap = 0.05; max_regions = 20_000; min_width = 1e-6 }
+(* relative optimality gap to certify, the region budget, and the width
+   below which an undecided box is not bisected further *)
+let target_gap = 0.05
+let max_regions = 20_000
+let min_width = 1e-6
 
 type certificate = {
   best_cost : float;
@@ -37,7 +39,7 @@ let incumbents_counter =
     (Metrics.counter ~help:"Incumbent improvements in certified repair"
        "tml_region_repair_incumbents_total")
 
-let minimize ?(settings = default_settings) ~constraints root =
+let minimize ~constraints root =
   Trace_span.with_span "region.repair"
     ~attrs:[ ("box", Box.to_string root) ]
   @@ fun () ->
@@ -78,13 +80,13 @@ let minimize ?(settings = default_settings) ~constraints root =
     | Some (lb, (box, m)) ->
       (* min-heap: [lb] bounds every queued region from below, so once it
          clears the gap-adjusted incumbent the whole frontier is pruned *)
-      if lb >= inc_cost () *. (1.0 -. settings.gap) then begin
+      if lb >= inc_cost () *. (1.0 -. target_gap) then begin
         pruned := !pruned +. m;
         Region_heap.iter (fun _ (_, m') -> pruned := !pruned +. m') queue;
         note_lb lb;
         stopped := true
       end
-      else if !explored >= settings.max_regions then begin
+      else if !explored >= max_regions then begin
         undecided := !undecided +. m;
         Region_heap.iter
           (fun _ (_, m') -> undecided := !undecided +. m')
@@ -108,7 +110,7 @@ let minimize ?(settings = default_settings) ~constraints root =
             if Region_verify.point_feasible constraints c then improve c
           end;
           let i = Box.longest_edge box in
-          if Box.width box i <= settings.min_width then begin
+          if Box.width box i <= min_width then begin
             undecided := !undecided +. m;
             note_lb lb
           end

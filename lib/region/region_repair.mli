@@ -12,15 +12,6 @@
     feasible optimum, the relative gap between them, and the volume
     fraction decided (accepted + rejected + pruned within the gap). *)
 
-type settings = {
-  gap : float;  (** relative optimality gap to certify (default 0.05) *)
-  max_regions : int;
-  min_width : float;
-}
-
-val default_settings : settings
-(** gap 0.05, 20_000 regions, 1e-6 minimum width. *)
-
 type certificate = {
   best_cost : float;
   cost_lower_bound : float;
@@ -43,17 +34,17 @@ type repaired = {
 }
 
 val minimize :
-  ?settings:settings ->
   constraints:Region_verify.constr list ->
   Box.t ->
   repaired
 (** [minimize ~constraints box] minimises the paper's squared-L2
     perturbation cost [Σ x²] over the accept set of [constraints] in
-    [box].  The cost's box lower bound and box argmin are exact (a
-    per-dimension clamp of 0 into the box), so the certified gap is
-    tight.  The returned point satisfies every constraint with its
-    interior margin, and no feasible point in [box] beats it by more
-    than the certified gap.
+    [box] to a 5% relative optimality gap, exploring at most 20 000
+    regions and bisecting no box narrower than 1e-6.  The cost's box
+    lower bound and box argmin are exact (a per-dimension clamp of 0
+    into the box), so the certified gap is tight.  The returned point
+    satisfies every constraint with its interior margin, and no feasible
+    point in [box] beats it by more than the certified gap.
     @raise Tml_error.Error with [Empty_feasible_box] when the accept set
     is proven empty (the whole box rejects) or no feasible point was found
     within the region budget — the typed permanent error for "Model Repair

@@ -140,11 +140,20 @@ let add_model_spec buf (spec : Model_repair.spec) =
     spec.Model_repair.deltas;
   Buffer.add_char buf '}'
 
+(* "s/a," per step, then "|final;" — written piecewise: a data-repair
+   job carries thousands of traces, and a Printf per step dominated the
+   digest *)
 let add_trace buf tr =
   List.iter
-    (fun (s, a) -> Buffer.add_string buf (Printf.sprintf "%d/%s," s a))
+    (fun (s, a) ->
+       Buffer.add_string buf (string_of_int s);
+       Buffer.add_char buf '/';
+       Buffer.add_string buf a;
+       Buffer.add_char buf ',')
     (Trace.state_actions tr);
-  Buffer.add_string buf (Printf.sprintf "|%d;" tr.Trace.final)
+  Buffer.add_char buf '|';
+  Buffer.add_string buf (string_of_int tr.Trace.final);
+  Buffer.add_char buf ';'
 
 let add_groups buf groups =
   List.iter

@@ -486,6 +486,160 @@ let test_policy_satisfies () =
     (RR.policy_satisfies m [| "risky"; "go"; "go"; "go"; "stay" |] ~rules:[ rule ]
        ~horizon:10)
 
+(* ---------------- Edge constraints certified by the box ---------------- *)
+
+(* The NLP that Repair_backend solved before it dropped edge constraints
+   the box certifies: the property constraint followed by both
+   [0 < P(s,d) < 1] inequalities of every perturbed edge, with the same
+   margins (1e-6 on the property, 1e-9 on edges) and the same cost. *)
+let full_problem ~variables ~edges pmodel query =
+  let vars = List.map (fun (n, _, _) -> n) variables in
+  let edge_margin = 1e-9 in
+  let edge_constraints =
+    List.concat_map
+      (fun (s, d) ->
+         let a = Arena.compile ~vars (List.assoc d (Pdtmc.succ pmodel s)) in
+         [ ( Printf.sprintf "edge_%d_%d_pos" s d,
+             fun x -> edge_margin -. Arena.eval a x );
+           ( Printf.sprintf "edge_%d_%d_lt1" s d,
+             fun x -> Arena.eval a x -. 1.0 +. edge_margin );
+         ])
+      edges
+  in
+  Nlp.problem ~dim:(List.length vars)
+    ~objective:(Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0)
+    ~inequalities:
+      (("property", Pquery.compile_violation ~margin:1e-6 query ~vars)
+       :: edge_constraints)
+    ~lower:(Array.of_list (List.map (fun (_, lo, _) -> lo) variables))
+    ~upper:(Array.of_list (List.map (fun (_, _, hi) -> hi) variables))
+    ()
+
+let check_bits msg a b =
+  Alcotest.(check int64) msg (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* [Repair_backend.solve] against the full NLP, under the plain penalty
+   method and under the fallback ladder the served path uses: the same
+   point, cost and rung bit for bit, or the same least violation. *)
+let check_same_as_full name dtmc phi (spec : MR.spec) =
+  let pmodel = MR.parametric_model dtmc spec in
+  let edges =
+    List.sort_uniq compare (List.map (fun (s, d, _) -> (s, d)) spec.MR.deltas)
+  in
+  let variables = spec.MR.variables in
+  let problem =
+    full_problem ~variables ~edges pmodel (Pquery.of_formula pmodel phi)
+  in
+  List.iter
+    (fun fallback ->
+       let name = if fallback then name ^ ", ladder" else name in
+       let expected =
+         if fallback then Nlp.solve_with_fallback ~starts:4 problem
+         else (Nlp.solve ~starts:4 problem, "penalty")
+       in
+       match
+         ( Repair_backend.solve Repair_backend.Nlp_solver ~fallback ~starts:4
+             ~variables ~edges pmodel phi,
+           expected )
+       with
+       | Ok r, (Nlp.Feasible s, rung) ->
+         Array.iteri
+           (fun i x ->
+              check_bits (Printf.sprintf "%s: point %d" name i) x r.point.(i))
+           s.Nlp.x;
+         check_bits (name ^ ": cost") s.Nlp.objective_value r.cost;
+         Alcotest.(check string) (name ^ ": rung") rung r.rung
+       | Error v, (Nlp.Infeasible s, _) ->
+         check_bits (name ^ ": least violation") s.Nlp.max_violation v
+       | Ok _, (Nlp.Infeasible _, _) ->
+         Alcotest.failf "%s: repaired, full NLP infeasible" name
+       | Error _, (Nlp.Feasible _, _) ->
+         Alcotest.failf "%s: infeasible, full NLP repaired" name)
+    [ false; true ]
+
+(* The paper's lane-change example (as in test_region.ml): f ranges over
+   [0, 0.05], so the freeze edge 0.05 - f reaches 0 and keeps its
+   constraint while the lane-change edge 0.57 + f is certified. *)
+let lane_change_chain () =
+  Dtmc.make ~n:6 ~init:0
+    ~transitions:
+      [ (0, 1, 0.57); (0, 2, 0.38); (0, 5, 0.05);
+        (1, 3, 0.95); (1, 2, 0.05);
+        (2, 4, 1.0); (3, 3, 1.0); (4, 4, 1.0); (5, 5, 1.0);
+      ]
+    ~labels:[ ("changedLane", [ 3 ]); ("reducedSpeed", [ 4 ]); ("frozen", [ 5 ]) ]
+    ()
+
+let test_pruned_lane_change () =
+  check_same_as_full "lane change" (lane_change_chain ())
+    (parse "P>0.99 [ F changedLane | reducedSpeed ]")
+    {
+      MR.variables = [ ("f", 0.0, 0.05) ];
+      deltas = [ (0, 5, Ratfun.neg (Ratfun.var "f")); (0, 1, Ratfun.var "f") ];
+    }
+
+(* The six controllable-edge sets of the served benchmark's model
+   repairs on the 3x3 WSN grid, each with a reachable and an unreachable
+   expected-attempts bound (every edge is certified by the [0, 0.1]^2
+   box, so these solves carry the property constraint alone). *)
+let wsn_edge_sets =
+  [ [ 1; 2; 3; 4; 5; 6; 7; 8 ]; [ 5; 7; 8 ]; [ 2; 4; 6; 8 ]; [ 1; 3; 5; 7 ];
+    [ 4; 5; 7; 8 ]; [ 3; 6; 7; 8 ] ]
+
+let test_pruned_wsn_edge_sets () =
+  let p = Wsn.default_params in
+  let full = Wsn.repair_spec p in
+  List.iter
+    (fun sources ->
+       let deltas =
+         List.filter (fun (s, _, _) -> List.mem s sources) full.MR.deltas
+       in
+       let used v =
+         List.exists (fun (_, _, f) -> List.mem v (Ratfun.vars f)) deltas
+       in
+       let spec =
+         { MR.variables = List.filter (fun (v, _, _) -> used v) full.MR.variables;
+           deltas }
+       in
+       List.iter
+         (fun bound ->
+            check_same_as_full
+              (Printf.sprintf "wsn {%s} R<=%d"
+                 (String.concat "," (List.map string_of_int sources)) bound)
+              (Wsn.chain p) (Wsn.property bound) spec)
+         [ 44; 27 ])
+    wsn_edge_sets
+
+(* A box wide enough for the edge 0.7 - v to reach 0 (and 0.3 + v to
+   pass 1): both edges keep their constraints.  Reaching 1 needs
+   v >= 0.7 + 1e-6, which only the kept 0->2 constraint forbids. *)
+let test_uncertified_edge_kept () =
+  let d = branch () in
+  let spec = branch_spec ~hi:1.0 () in
+  check_same_as_full "wide branch" d (parse "P>=0.9 [ F goal ]") spec;
+  (match MR.repair d (parse "P>=0.9 [ F goal ]") spec with
+   | MR.Repaired r ->
+     List.iter
+       (fun (s, t, pr) ->
+          if s <> t then
+            Alcotest.(check bool)
+              (Printf.sprintf "edge %d->%d = %g in (0,1)" s t pr)
+              true
+              (pr > 0.0 && pr < 1.0))
+       (Dtmc.raw_transitions r.MR.dtmc)
+   | _ -> Alcotest.fail "expected Repaired");
+  let pmodel = MR.parametric_model d spec in
+  match
+    Repair_backend.solve Repair_backend.Nlp_solver ~starts:4
+      ~variables:spec.MR.variables ~edges:[ (0, 1); (0, 2) ] pmodel
+      (parse "P>=1 [ F goal ]")
+  with
+  | Ok r ->
+    Alcotest.failf "repaired at v = %h: the 0->2 edge lost its constraint"
+      r.point.(0)
+  | Error v ->
+    Alcotest.(check bool) "least violation is tiny" true (v > 0.0 && v < 1e-5)
+
 (* ---------------- Pipeline ---------------- *)
 
 let test_pipeline_original_ok () =
@@ -603,6 +757,12 @@ let () =
                  (test_data_repair_backend backend);
              ])
           Repair_backend.all );
+      ( "edge pruning",
+        [ Alcotest.test_case "lane change" `Quick test_pruned_lane_change;
+          Alcotest.test_case "wsn edge sets" `Quick test_pruned_wsn_edge_sets;
+          Alcotest.test_case "uncertified edge kept" `Quick
+            test_uncertified_edge_kept;
+        ] );
       ( "reward repair",
         [ Alcotest.test_case "q-constraint repair" `Quick test_reward_repair_q;
           Alcotest.test_case "already satisfied" `Quick test_reward_repair_already;

@@ -17,6 +17,32 @@ let test_nelder_mead_rosenbrock () =
   Alcotest.(check (float 1e-3)) "rosenbrock x" 1.0 r.Nelder_mead.x.(0);
   Alcotest.(check (float 1e-3)) "rosenbrock y" 1.0 r.Nelder_mead.x.(1)
 
+(* The exact minimiser, iteration count and value of the Rosenbrock run
+   above, recorded from the allocating implementation that predates the
+   in-place buffers: reusing vertex storage must not reorder a single
+   float operation or break a sort tie differently. *)
+let test_nelder_mead_rosenbrock_bits () =
+  let f x =
+    let a = 1.0 -. x.(0) and b = x.(1) -. (x.(0) *. x.(0)) in
+    (a *. a) +. (100.0 *. b *. b)
+  in
+  let r = Nelder_mead.minimize ~max_iter:20000 f [| -1.2; 1.0 |] in
+  let hex = Printf.sprintf "%h" in
+  Alcotest.(check string) "x" "0x1.00000240f392ap+0" (hex r.Nelder_mead.x.(0));
+  Alcotest.(check string) "y" "0x1.000004e875248p+0" (hex r.Nelder_mead.x.(1));
+  Alcotest.(check string) "f" "0x1.520a98e6be9eep-44" (hex r.Nelder_mead.f);
+  Alcotest.(check int) "iterations" 123 r.Nelder_mead.iterations;
+  Alcotest.(check bool) "converged" true r.Nelder_mead.converged;
+  (* a staircase objective: equal values force sort ties, and its
+     plateaus make the run shrink the simplex 18 times *)
+  let g x = Float.round (4.0 *. ((x.(0) *. x.(0)) +. (x.(1) *. x.(1)))) in
+  let r = Nelder_mead.minimize ~max_iter:20000 g [| 1.3; -0.7 |] in
+  Alcotest.(check string) "plateau x" "0x1.62fb33333320ep-6"
+    (hex r.Nelder_mead.x.(0));
+  Alcotest.(check string) "plateau y" "0x1.2aaab3333333cp-3"
+    (hex r.Nelder_mead.x.(1));
+  Alcotest.(check int) "plateau iterations" 23 r.Nelder_mead.iterations
+
 let circle_problem () =
   (* min x² + y² s.t. x + y >= 1, i.e. 1 - x - y <= 0.
      Optimum: x = y = 1/2, objective 1/2. *)
@@ -167,6 +193,8 @@ let () =
     [ ( "nelder-mead",
         [ Alcotest.test_case "quadratic" `Quick test_nelder_mead_quadratic;
           Alcotest.test_case "rosenbrock" `Quick test_nelder_mead_rosenbrock;
+          Alcotest.test_case "rosenbrock bits" `Quick
+            test_nelder_mead_rosenbrock_bits;
         ] );
       ( "nlp",
         [ Alcotest.test_case "feasible (penalty)" `Quick test_nlp_feasible_penalty;

@@ -410,6 +410,48 @@ let test_digest_distinguishes_jobs () =
       (Job.digest a) (Job.digest a')
   | _ -> assert false
 
+(* Digests are cache and ring keys, so their bytes are a wire-visible
+   contract: these hex values were recorded before the trace section
+   stopped going through Printf, and must not move. *)
+let digest_model_text =
+  "dtmc\nstates 3\ninit 0\n0 -> 1 : 0.3\n0 -> 2 : 0.7\n1 -> 1 : 1.0\n\
+   2 -> 2 : 1.0\nlabel goal = 1\n"
+
+let test_digest_pinned () =
+  let model =
+    Wire.job_of_request
+      (Wire.Model_repair_req
+         {
+           model = digest_model_text;
+           phi = "P>=0.5 [ F goal ]";
+           variables = [ "v:0:0.4" ];
+           deltas = [ "0,1,+v"; "0,2,-v" ];
+           starts = 2;
+           backend = "nlp";
+         })
+  in
+  let data =
+    Wire.job_of_request
+      (Wire.Data_repair_req
+         {
+           states = 3;
+           init = 0;
+           labels = [ ("goal", [ 1 ]); ("fail", [ 2 ]) ];
+           rewards = Some [ 1.0; 0.0; 0.5 ];
+           phi = "P>=0.5 [ F goal ]";
+           traces =
+             "group good\n0 1\n0 1\n0 1 1\ngroup bad\n0 2\n0 2 2\n0 2\n0 2\n";
+           max_drop = 0.9;
+           pinned = [ "good" ];
+           starts = 2;
+           backend = "nlp";
+         })
+  in
+  Alcotest.(check string) "model repair" "588130303f78973520c78d85d6db58c3"
+    (Job.digest model);
+  Alcotest.(check string) "data repair" "4ab817b7a641c47506ef57e266bd3547"
+    (Job.digest data)
+
 let () =
   Alcotest.run "runtime"
     [
@@ -461,5 +503,6 @@ let () =
           Alcotest.test_case "run_batch blocks, never sheds" `Quick
             test_run_batch_blocks_through_full_queue;
           Alcotest.test_case "job digests" `Quick test_digest_distinguishes_jobs;
+          Alcotest.test_case "pinned digests" `Quick test_digest_pinned;
         ] );
     ]

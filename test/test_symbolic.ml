@@ -417,6 +417,188 @@ let test_elimination_orders_agree () =
         (Ratfun.equal reference (f order)))
     [ Elimination.Ascending; Elimination.Descending ]
 
+(* ------------------------------------------------------------------ *)
+(* Coefficient slices and the arena lowering                            *)
+(* ------------------------------------------------------------------ *)
+
+let print_pexpr_var (e, i) =
+  Printf.sprintf "%s in %s" (pexpr_to_string e) var_names.(i)
+
+let slice_props =
+  [ qtest "coeffs_in reassembles the polynomial" ~count:300
+      ~print:print_pexpr_var
+      QCheck2.Gen.(pair gen_pexpr (int_range 0 2))
+      (fun (e, i) ->
+         let p = to_poly e and v = var_names.(i) in
+         let slices = Poly.coeffs_in v p in
+         let sum = ref Poly.zero in
+         Array.iteri
+           (fun k c -> sum := Poly.add !sum (Poly.mul c (Poly.pow (Poly.var v) k)))
+           slices;
+         Array.length slices = Stdlib.max 1 (Poly.degree_in v p + 1)
+         && Array.for_all (fun c -> Poly.degree_in v c = 0) slices
+         && Poly.equal !sum p);
+  ]
+
+(* The arena lowering as it was before coefficient grouping: slice e of
+   [p] in [x] is ((d/dx)^e p)|_{x=0} / e!, computed by exact derivatives,
+   and its Horner evaluator.  Kept here only as the reference the compiled
+   programs must reproduce bit for bit. *)
+module Ref_arena = struct
+  type instr = Push of float | Horner of { vi : int; n : int }
+
+  let compile_poly order p =
+    let code = ref [] in
+    let emit i = code := i :: !code in
+    let rec go vars p =
+      match Poly.to_const_opt p with
+      | Some c -> emit (Push (Q.to_float c))
+      | None -> (
+        match vars with
+        | [] -> assert false
+        | (vi, v) :: rest ->
+          let d = Poly.degree_in v p in
+          if d = 0 then go rest p
+          else begin
+            let deriv = ref p in
+            let fact = ref Q.one in
+            for e = 0 to d do
+              if e >= 2 then fact := Q.mul !fact (Q.of_int e);
+              let slice =
+                Poly.scale (Q.inv !fact) (Poly.subst v Poly.zero !deriv)
+              in
+              go rest slice;
+              if e < d then deriv := Poly.derivative v !deriv
+            done;
+            emit (Horner { vi; n = d })
+          end)
+    in
+    go order p;
+    Array.of_list (List.rev !code)
+
+  let run prog (x : float array) =
+    let stack = Array.make (Array.length prog + 1) 0.0 in
+    let sp = ref 0 in
+    Array.iter
+      (function
+        | Push c ->
+          stack.(!sp) <- c;
+          incr sp
+        | Horner { vi; n } ->
+          let v = x.(vi) in
+          let base = !sp - n - 1 in
+          let acc = ref stack.(!sp - 1) in
+          for j = !sp - 2 downto base do
+            acc := (!acc *. v) +. stack.(j)
+          done;
+          stack.(base) <- !acc;
+          sp := base + 1)
+      prog;
+    stack.(0)
+
+  let eval ~vars f x =
+    let order = List.mapi (fun i v -> (i, v)) vars in
+    let n = run (compile_poly order (Ratfun.num f)) x in
+    if Poly.equal (Ratfun.den f) Poly.one then n
+    else n /. run (compile_poly order (Ratfun.den f)) x
+end
+
+let same_bits ~vars f x =
+  Int64.equal
+    (Int64.bits_of_float (Ref_arena.eval ~vars f x))
+    (Int64.bits_of_float (Arena.eval (Arena.compile ~vars f) x))
+
+let gen_point =
+  QCheck2.Gen.(array_size (return 3) (float_range (-2.0) 2.0))
+
+let print_point x =
+  String.concat ", " (Array.to_list (Array.map (Printf.sprintf "%h") x))
+
+(* both variable orders: the lowering recurses over the order given *)
+let arena_orders = [ [ "p"; "q"; "x" ]; [ "x"; "q"; "p" ] ]
+
+let arena_props =
+  [ qtest "arena matches derivative-slice lowering (polynomials)" ~count:300
+      ~print:(fun (e, x) -> pexpr_to_string e ^ " at " ^ print_point x)
+      QCheck2.Gen.(pair gen_pexpr gen_point)
+      (fun (e, x) ->
+         let f = Ratfun.of_poly (to_poly e) in
+         List.for_all (fun vars -> same_bits ~vars f x) arena_orders);
+    qtest "arena matches derivative-slice lowering (quotients)" ~count:200
+      ~print:(fun ((a, b), x) ->
+          Printf.sprintf "(%s) / (%s) at %s" (pexpr_to_string a)
+            (pexpr_to_string b) (print_point x))
+      QCheck2.Gen.(pair (pair gen_pexpr gen_pexpr) gen_point)
+      (fun ((a, b), x) ->
+         let den = to_poly b in
+         QCheck2.assume (not (Poly.is_zero den));
+         let f = Ratfun.make (to_poly a) den in
+         List.for_all (fun vars -> same_bits ~vars f x) arena_orders);
+  ]
+
+(* Fixed shapes the generator may miss: constants, the zero polynomial,
+   and powers with zero slices between them. *)
+let test_arena_fixed_shapes () =
+  let open Poly in
+  let p = var "p" and q = var "q" and x = var "x" in
+  let c n d = const (Q.of_ints n d) in
+  let shapes =
+    [ zero; c 5 7; c (-3) 1;
+      pow x 5 + one;
+      (c 2 3 * pow x 4 * q) - (pow p 3 * x) + c 1 9;
+      pow (p + q + x + one) 3 - pow (p - x) 4;
+    ]
+  in
+  List.iteri
+    (fun i poly ->
+       List.iter
+         (fun vars ->
+            List.iter
+              (fun pt ->
+                 Alcotest.(check bool)
+                   (Printf.sprintf "shape %d, %s" i (String.concat "" vars))
+                   true
+                   (same_bits ~vars (Ratfun.of_poly poly) pt))
+              [ [| 0.1; 0.2; 0.3 |]; [| -1.5; 0.0; 2.25 |] ])
+         arena_orders)
+    shapes
+
+(* The query functions of experiments E2 (WSN model repair, f(p,q)) and
+   E4 (WSN data repair over three drop fractions), over a grid of their
+   boxes. *)
+let test_arena_query_functions () =
+  let wsn = Wsn.default_params in
+  let e2 =
+    Pquery.of_formula
+      (Model_repair.parametric_model (Wsn.chain wsn) (Wsn.repair_spec wsn))
+      (Wsn.property 40)
+  in
+  let groups =
+    Wsn.observation_groups (Prng.create 42) wsn ~count:3000
+  in
+  let e4 =
+    Pquery.of_formula
+      (Mle.parametric_mle ~n:9 ~init:8
+         ~labels:[ ("delivered", [ 0 ]) ]
+         ~rewards:
+           (Array.init 9 (fun s -> if s = 0 then Q.zero else Q.one))
+         ~groups ())
+      (Wsn.property 19)
+  in
+  let check name vars f =
+    let k = List.length vars in
+    for i = 0 to 10 do
+      let x =
+        Array.init k (fun j -> 0.009 *. float_of_int ((i + (3 * j)) mod 11))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s at %s" name (print_point x))
+        true (same_bits ~vars f x)
+    done
+  in
+  check "E2 f(p,q)" [ "p"; "q" ] e2.Pquery.value;
+  check "E4 f(drops)" (List.map fst groups) e4.Pquery.value
+
 let () =
   Alcotest.run "symbolic"
     [ ("ratio differential", ratio_props);
@@ -425,6 +607,14 @@ let () =
       ("poly differential", poly_props);
       ( "poly large mul",
         [ Alcotest.test_case "hashtable path" `Quick test_poly_mul_large ] );
+      ("coefficient slices", slice_props);
+      ("arena lowering", arena_props);
+      ( "arena shapes",
+        [ Alcotest.test_case "constants and zero slices" `Quick
+            test_arena_fixed_shapes;
+          Alcotest.test_case "E2/E4 query functions" `Quick
+            test_arena_query_functions;
+        ] );
       ( "elimination goldens",
         [ Alcotest.test_case "expected reward R(p,q)" `Quick
             test_elimination_reward_goldens;
